@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import datetime as _dt
 import hashlib
+import io
 import json
 import math
 import os
@@ -31,9 +32,12 @@ from .corpus import (
     default_scheme_path,
     iter_diagnostics,
     load_scheme,
+    make_corpus,
+    open_corpus,
     parse_corpus,
+    read_records,
 )
-from .errors import CareerTraceError, DuplicatePubId, InvalidConfig, UndefinedRatio
+from .errors import CareerTraceError, InvalidConfig, UndefinedRatio
 from .indicators import IndicatorEngine, IndicatorRow
 from .mobility import MobilityClass, MobilityState, MoveEvent, classify, detect_moves
 from .report import (
@@ -225,24 +229,12 @@ class Cache:
 
 def _parse_chunk(job: tuple[str, int, int, tuple[int, int] | None]) -> list[PublicationRecord]:
     path, start, end, window = job
-    from .corpus import _Intern, _load_line  # worker-local import keeps pickling small
-
-    intern = _Intern()
-    records = []
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(end - start)
-    for i, line in enumerate(data.decode("utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        records.append(_load_line(line, i, intern))
-    if window is not None:
-        from .errors import YearOutOfWindow
-
-        for rec in records:
-            if not (window[0] <= rec.year <= window[1]):
-                raise YearOutOfWindow(rec.pub_id, rec.year, window)
-    return records
+    # the same newline handling and per-line reader as a serial parse
+    text = io.StringIO(data.decode("utf-8", "surrogateescape"), newline=None)
+    return read_records(text, window)
 
 
 def _chunk_offsets(path: str | Path, jobs: int) -> list[tuple[int, int]]:
@@ -270,32 +262,22 @@ def load_corpus_parallel(
     window: tuple[int, int] | None,
     jobs: int,
 ) -> Corpus:
-    """Chunked parallel parse; canonical sort makes the result chunk-independent."""
-    if jobs <= 1:
-        with open(path, encoding="utf-8") as fh:
-            return parse_corpus(fh, scheme, window)
-    chunks = [(str(path), start, end, window) for start, end in _chunk_offsets(path, jobs)]
-    try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_parse_chunk, chunks))
-    except CareerTraceError:
-        # re-parse serially for exact line-number diagnostics
-        with open(path, encoding="utf-8") as fh:
-            return parse_corpus(fh, scheme, window)
-    records: list[PublicationRecord] = []
-    seen: set[str] = set()
-    for part in parts:
-        for rec in part:
-            if rec.pub_id in seen:
-                raise DuplicatePubId(rec.pub_id)
-            seen.add(rec.pub_id)
-            records.append(rec)
-    records.sort(key=PublicationRecord.sort_key)
-    if window is None:
-        window = (
-            (min(r.year for r in records), max(r.year for r in records)) if records else (0, 0)
-        )
-    return Corpus(records=records, scheme=scheme, window=window)
+    """Chunked parallel parse; canonical sort makes the result chunk-independent.
+
+    Any problem, including a pub_id repeated across chunks, re-parses serially
+    so that the diagnostic is exactly that of ``jobs=1``.
+    """
+    if jobs > 1:
+        chunks = [(str(path), start, end, window) for start, end in _chunk_offsets(path, jobs)]
+        try:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+                records = [rec for part in pool.map(_parse_chunk, chunks) for rec in part]
+            if len({rec.pub_id for rec in records}) == len(records):
+                return make_corpus(records, scheme, window)
+        except CareerTraceError:
+            pass
+    with open_corpus(path) as fh:
+        return parse_corpus(fh, scheme, window)
 
 
 _TIMELINE_HEADER = ["author_id", "year", "source_pub", "dominant", "weights", "origin_ambiguous"]
@@ -421,6 +403,14 @@ class Pipeline:
     def _stage(self, name: str, cache_state: str) -> None:
         self.stages.append({"stage": name, "cache": cache_state})
 
+    def _built(self, name: str, key: str, header: list[str], rows) -> None:
+        """Record a built stage; ``rows()`` serializes it, only for an enabled cache."""
+        if self.cache.enabled:
+            self.cache.store(key, header, rows())
+            self._stage(name, "miss")
+        else:
+            self._stage(name, "off")
+
     def corpus(self) -> Corpus:
         if self._corpus is None:
             self._corpus = load_corpus_parallel(
@@ -444,8 +434,8 @@ class Pipeline:
             self._stage("timelines", "hit")
         else:
             self._timelines = build_timelines(self.corpus(), self.cfg.tie_rule)
-            self.cache.store(key, _TIMELINE_HEADER, timelines_to_rows(self._timelines, self.scheme))
-            self._stage("timelines", "miss" if self.cache.enabled else "off")
+            self._built("timelines", key, _TIMELINE_HEADER,
+                        lambda: timelines_to_rows(self._timelines, self.scheme))
         return self._timelines
 
     def moves(self) -> dict[str, list[MoveEvent]]:
@@ -463,13 +453,11 @@ class Pipeline:
             self._stage("moves", "hit")
         else:
             self._moves = {a: detect_moves(tl) for a, tl in self.timelines().items()}
-            rows = [
+            self._built("moves", key, _MOVE_HEADER, lambda: [
                 [a, m.from_region, m.to_region, str(m.year)]
                 for a in sorted(self._moves)
                 for m in self._moves[a]
-            ]
-            self.cache.store(key, _MOVE_HEADER, rows)
-            self._stage("moves", "miss" if self.cache.enabled else "off")
+            ])
         return self._moves
 
     def states(self) -> dict[str, list[MobilityState]]:
@@ -488,8 +476,7 @@ class Pipeline:
                             self.cfg.host_attribution)
                 for a, tl in timelines.items()
             }
-            self.cache.store(key, _STATE_HEADER, states_to_rows(self._states))
-            self._stage("states", "miss" if self.cache.enabled else "off")
+            self._built("states", key, _STATE_HEADER, lambda: states_to_rows(self._states))
         return self._states
 
     def stock_cells(self) -> list[StockCell]:
@@ -503,12 +490,9 @@ class Pipeline:
         year_range = (corpus.window[0], end_year)
         statuses = build_statuses(self.timelines(), year_range, end_year, self.cfg.grace_years)
         cells = stock_table(self.states(), statuses, year_range)
-        self.cache.store(
-            key,
-            _STOCK_HEADER[:4],
-            [[c.class_key, str(c.year), str(c.preceding), str(c.new_movement)] for c in cells],
-        )
-        self._stage("stocks", "miss" if self.cache.enabled else "off")
+        self._built("stocks", key, _STOCK_HEADER[:4], lambda: [
+            [c.class_key, str(c.year), str(c.preceding), str(c.new_movement)] for c in cells
+        ])
         return cells
 
     def inputs(self) -> dict[str, str]:
@@ -614,7 +598,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     scheme = load_scheme(_scheme_path(args))
     window = (cfg.year_min, cfg.year_max) if cfg.year_min is not None and cfg.year_max is not None else None
     problems = 0
-    with open(args.corpus, encoding="utf-8") as fh:
+    with open_corpus(args.corpus) as fh:
         for diag in iter_diagnostics(fh, scheme, window):
             print(f"careertrace: {args.corpus}: {diag}", file=sys.stderr)
             problems += 1

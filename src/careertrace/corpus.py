@@ -19,11 +19,13 @@ the scheme's catch-all label (``OTHER`` by default).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .errors import (
+    CareerTraceError,
     DuplicatePubId,
     EmptyAuthorList,
     MalformedLine,
@@ -31,8 +33,8 @@ from .errors import (
     YearOutOfWindow,
 )
 
-_RECORD_KEYS = {"pub_id", "year", "seq", "fields", "doc_type", "cites", "authors"}
-_AUTHOR_KEYS = {"id", "countries"}
+_RECORD_KEYS = frozenset({"pub_id", "year", "seq", "fields", "doc_type", "cites", "authors"})
+_AUTHOR_KEYS = frozenset({"id", "countries"})
 
 
 def is_country_code(code: object) -> bool:
@@ -188,22 +190,27 @@ def dump_record(rec: PublicationRecord) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
-class _Intern:
-    """Per-parse string pool so repeated codes share one object."""
+class _Pools:
+    """Per-parse pools. Repeated strings, field lists, country codes and
+    authorships share one object each; a value enters its pool only once it
+    has passed validation, so a pool hit needs no further check."""
+
+    __slots__ = ("strings", "fields", "codes", "authorships")
 
     def __init__(self) -> None:
-        self._pool: dict[str, str] = {}
+        self.strings: dict[str, str] = {}
+        self.fields: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self.codes: dict[str, str] = {}
+        self.authorships: dict[tuple[str, ...], Authorship] = {}
 
-    def __call__(self, s: str) -> str:
-        return self._pool.setdefault(s, s)
 
-
-def _parse_record(obj: object, line_no: int, intern: _Intern) -> PublicationRecord:
-    if not isinstance(obj, dict):
+# Every value checked below comes from the JSON decoder, so exact type tests
+# (``type(x) is int``) match isinstance tests that exclude bool.
+def _parse_record(obj: object, line_no: int, pools: _Pools) -> PublicationRecord:
+    if type(obj) is not dict:
         raise MalformedLine(line_no, "record must be an object")
-    unknown = set(obj) - _RECORD_KEYS
-    if unknown:
-        raise MalformedLine(line_no, f"unknown keys {sorted(unknown)}")
+    if not obj.keys() <= _RECORD_KEYS:
+        raise MalformedLine(line_no, f"unknown keys {sorted(obj.keys() - _RECORD_KEYS)}")
     try:
         pub_id = obj["pub_id"]
         year = obj["year"]
@@ -214,73 +221,118 @@ def _parse_record(obj: object, line_no: int, intern: _Intern) -> PublicationReco
     except KeyError as exc:
         raise MalformedLine(line_no, f"missing key {exc.args[0]!r}") from None
     seq = obj.get("seq", 0)
-    if not isinstance(pub_id, str) or not pub_id:
+    if type(pub_id) is not str or not pub_id:
         raise MalformedLine(line_no, "pub_id must be a non-empty string")
-    if not isinstance(year, int) or isinstance(year, bool):
+    if type(year) is not int:
         raise MalformedLine(line_no, "year must be an integer")
-    if not isinstance(seq, int) or isinstance(seq, bool):
+    if type(seq) is not int:
         raise MalformedLine(line_no, "seq must be an integer")
-    if not isinstance(fields, list) or not fields or not all(
-        isinstance(f, str) and f for f in fields
-    ):
+    if type(fields) is not list:
         raise MalformedLine(line_no, "fields must be a non-empty array of strings")
-    if not isinstance(doc_type, str):
+    field_codes = _field_codes(fields, line_no, pools)
+    if type(doc_type) is not str:
         raise MalformedLine(line_no, "doc_type must be a string")
-    if not isinstance(cites, int) or isinstance(cites, bool) or cites < 0:
+    if type(cites) is not int or cites < 0:
         raise MalformedLine(line_no, "cites must be a non-negative integer")
-    if not isinstance(authors, list):
+    if type(authors) is not list:
         raise MalformedLine(line_no, "authors must be an array")
     if not authors:
         raise EmptyAuthorList(pub_id, line_no)
 
-    # de-duplicate fields, first occurrence wins
-    seen_fields: dict[str, None] = {}
-    for f in fields:
-        seen_fields.setdefault(intern(f), None)
-
+    pooled = pools.authorships
     authorships = []
     seen_authors: set[str] = set()
     for a in authors:
-        if not isinstance(a, dict) or set(a) - _AUTHOR_KEYS or "id" not in a or "countries" not in a:
+        if type(a) is not dict or a.keys() != _AUTHOR_KEYS:
             raise MalformedLine(line_no, "each author must be {id, countries}")
         aid, countries = a["id"], a["countries"]
-        if not isinstance(aid, str) or not aid:
+        if type(aid) is not str or not aid:
             raise MalformedLine(line_no, "author id must be a non-empty string")
         if aid in seen_authors:
             raise MalformedLine(line_no, f"author {aid!r} listed twice on {pub_id!r}")
         seen_authors.add(aid)
-        if not isinstance(countries, list) or not countries:
+        if type(countries) is not list or not countries:
             raise MalformedLine(line_no, f"author {aid!r} has no affiliation countries")
-        for c in countries:
-            if not is_country_code(c):
-                raise MalformedLine(line_no, f"invalid country code {c!r}")
-        authorships.append(
-            Authorship(intern(aid), tuple(intern(c) for c in countries))
-        )
+        try:
+            authorship = pooled.get((aid, *countries))
+        except TypeError:  # an unhashable code, which _new_authorship reports
+            authorship = None
+        if authorship is None:
+            authorship = _new_authorship(aid, countries, line_no, pools)
+        authorships.append(authorship)
     return PublicationRecord(
         pub_id=pub_id,
         year=year,
         seq=seq,
-        field_codes=tuple(seen_fields),
-        doc_type=intern(doc_type),
+        field_codes=field_codes,
+        doc_type=pools.strings.setdefault(doc_type, doc_type),
         citation_count=cites,
         authorships=tuple(authorships),
     )
 
 
-def iter_diagnostics(
-    lines: Iterable[str],
-    scheme: RegionScheme,
-    window: tuple[int, int] | None = None,
-) -> Iterator[Exception]:
-    """Yield every validation problem in the stream (used by ``validate``)."""
-    intern = _Intern()
+def _field_codes(fields: list, line_no: int, pools: _Pools) -> tuple[str, ...]:
+    """The record's distinct fields, first occurrence first."""
+    try:
+        codes = pools.fields.get(tuple(fields))
+    except TypeError:  # an unhashable element
+        codes = None
+    if codes is None:
+        if not fields or not all(type(f) is str and f for f in fields):
+            raise MalformedLine(line_no, "fields must be a non-empty array of strings")
+        intern = pools.strings.setdefault
+        codes = pools.fields[tuple(fields)] = tuple(dict.fromkeys(intern(f, f) for f in fields))
+    return codes
+
+
+def _new_authorship(aid: str, countries: list, line_no: int, pools: _Pools) -> Authorship:
+    codes = pools.codes
+    for c in countries:
+        if type(c) is not str or c not in codes:
+            if not is_country_code(c):
+                raise MalformedLine(line_no, f"invalid country code {c!r}")
+            codes[c] = c
+    authorship = Authorship(
+        pools.strings.setdefault(aid, aid), tuple(codes[c] for c in countries)
+    )
+    pools.authorships[(aid, *countries)] = authorship
+    return authorship
+
+
+_scan_once = json.JSONDecoder().scan_once
+_json_whitespace = json.decoder.WHITESPACE.match
+# surrogateescape turns each byte that is not UTF-8 into one of these
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _load_line(line: str, line_no: int, pools: _Pools) -> PublicationRecord:
+    if not line.isascii() and _UNDECODABLE.search(line):
+        raise MalformedLine(line_no, "not valid UTF-8")
+    try:
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):
+        obj = None
+    if type(obj) is not dict or _json_whitespace(line, end).end() != len(line):
+        # json.loads either names the exact problem or decodes what the
+        # scanner does not start on (leading whitespace, a non-object value)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(line_no, f"invalid JSON ({exc.msg})") from None
+    return _parse_record(obj, line_no, pools)
+
+
+def _read(
+    lines: Iterable[str], window: tuple[int, int] | None
+) -> Iterator[PublicationRecord | CareerTraceError]:
+    """The corpus reader: per non-blank line, its record or its first problem."""
+    pools = _Pools()
     seen: set[str] = set()
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
-            rec = _load_line(line, line_no, intern)
+            rec = _load_line(line, line_no, pools)
         except (MalformedLine, EmptyAuthorList) as exc:
             yield exc
             continue
@@ -290,14 +342,43 @@ def iter_diagnostics(
         seen.add(rec.pub_id)
         if window is not None and not (window[0] <= rec.year <= window[1]):
             yield YearOutOfWindow(rec.pub_id, rec.year, window)
+        else:
+            yield rec
 
 
-def _load_line(line: str, line_no: int, intern: _Intern) -> PublicationRecord:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedLine(line_no, f"invalid JSON ({exc.msg})") from None
-    return _parse_record(obj, line_no, intern)
+def read_records(
+    lines: Iterable[str], window: tuple[int, int] | None = None
+) -> list[PublicationRecord]:
+    """Valid records in input order; raises on the first invalid line."""
+    records = []
+    for item in _read(lines, window):
+        if type(item) is not PublicationRecord:
+            raise item
+        records.append(item)
+    return records
+
+
+def iter_diagnostics(
+    lines: Iterable[str],
+    scheme: RegionScheme,
+    window: tuple[int, int] | None = None,
+) -> Iterator[Exception]:
+    """Yield every validation problem in the stream (used by ``validate``)."""
+    for item in _read(lines, window):
+        if type(item) is not PublicationRecord:
+            yield item
+
+
+def make_corpus(
+    records: list[PublicationRecord],
+    scheme: RegionScheme,
+    window: tuple[int, int] | None,
+) -> Corpus:
+    """Sort records canonically; an omitted window is inferred from the data."""
+    records.sort(key=PublicationRecord.sort_key)
+    if window is None:
+        window = (records[0].year, records[-1].year) if records else (0, 0)
+    return Corpus(records=records, scheme=scheme, window=window)
 
 
 def parse_corpus(
@@ -311,26 +392,13 @@ def parse_corpus(
     line order: records are sorted by (year, seq, pub_id) after ingestion.
     When ``window`` is omitted it is inferred from the data.
     """
-    intern = _Intern()
-    records: list[PublicationRecord] = []
-    seen: set[str] = set()
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        rec = _load_line(line, line_no, intern)
-        if rec.pub_id in seen:
-            raise DuplicatePubId(rec.pub_id, line_no)
-        seen.add(rec.pub_id)
-        if window is not None and not (window[0] <= rec.year <= window[1]):
-            raise YearOutOfWindow(rec.pub_id, rec.year, window)
-        records.append(rec)
-    records.sort(key=PublicationRecord.sort_key)
-    if window is None:
-        if records:
-            window = (min(r.year for r in records), max(r.year for r in records))
-        else:
-            window = (0, 0)
-    return Corpus(records=records, scheme=scheme, window=window)
+    return make_corpus(read_records(lines, window), scheme, window)
+
+
+def open_corpus(path: str | Path) -> TextIO:
+    """Open a corpus file for reading. Bytes that are not UTF-8 reach the
+    reader as lone surrogates, which it reports as a per-line problem."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
 
 
 def load_corpus(
@@ -338,7 +406,7 @@ def load_corpus(
     scheme: RegionScheme,
     window: tuple[int, int] | None = None,
 ) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
+    with open_corpus(path) as fh:
         return parse_corpus(fh, scheme, window)
 
 

@@ -52,6 +52,52 @@ def test_validate_duplicate_exit_one(tmp_path):
     assert run(["validate", str(path)]) == 1
 
 
+def _with_bad_bytes(tmp_path) -> Path:
+    body = "\n".join(lines(rec("p1", 2005, [("a1", ["CHN"])]), rec("p2", 2006, [("a1", ["USA"])])))
+    path = tmp_path / "bytes.jsonl"
+    path.write_bytes(body.encode() + b"\n\xff\xfe\n")
+    return path
+
+
+def test_validate_non_utf8_line(tmp_path, capsys):
+    path = _with_bad_bytes(tmp_path)
+    assert run(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"careertrace: {path}: line 3: not valid UTF-8\n"
+                   f"careertrace: {path}: 1 problem(s) found\n")
+
+
+def test_moves_non_utf8_line(tmp_path, capsys):
+    path = _with_bad_bytes(tmp_path)
+    assert run(["moves", str(path), "-o", str(tmp_path / "out"), "--no-cache"]) == 1
+    assert capsys.readouterr().err == "careertrace: error: line 3: not valid UTF-8\n"
+
+
+def test_moves_duplicate_across_chunks_same_diagnostic_for_any_jobs(tmp_path, capsys):
+    records = [rec(f"p{i}", 2005, [("a1", ["CHN"])]) for i in range(200)]
+    path = tmp_path / "dup.jsonl"
+    write_corpus(path, records + [rec("p3", 2006, [("a1", ["USA"])])])
+    errs = []
+    for jobs in ("1", "2"):
+        assert run(["moves", str(path), "-o", str(tmp_path / jobs), "--no-cache",
+                    "--jobs", jobs]) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs == ["careertrace: error: duplicate pub_id 'p3' (line 201)\n"] * 2
+
+
+def test_no_cache_builds_no_cache_rows(small_corpus, tmp_path, monkeypatch):
+    import careertrace.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cache rows built with the cache off")
+
+    monkeypatch.setattr(cli, "timelines_to_rows", refuse)
+    monkeypatch.setattr(cli, "states_to_rows", refuse)
+    monkeypatch.setattr(cli.Cache, "store", refuse)
+    assert run(["stocks", str(small_corpus), "-o", str(tmp_path / "s.csv"), "--no-cache"]) == 0
+    assert run(["indicators", str(small_corpus), "-o", str(tmp_path / "ind"), "--no-cache"]) == 0
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert run(["frobnicate"]) == 2
     assert run([]) == 2

@@ -2,9 +2,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from careertrace import RegionScheme, default_scheme, parse_corpus, regionalize
-from careertrace.corpus import is_country_code, iter_diagnostics
+from careertrace import RegionScheme, default_scheme, load_corpus, parse_corpus, regionalize
+from careertrace.corpus import (
+    _load_line,
+    _Pools,
+    is_country_code,
+    iter_diagnostics,
+    open_corpus,
+)
 from careertrace.errors import (
     DuplicatePubId,
     EmptyAuthorList,
@@ -66,6 +74,122 @@ def test_malformed_lines_rejected(scheme, mutate):
     mutate(r)
     with pytest.raises(MalformedLine):
         parse_corpus([json.dumps(r)], scheme)
+
+
+def _variant(**changes):
+    r = rec("p1", 2005, [("a1", ["CHN"])])
+    r.update(changes)
+    return json.dumps(r)
+
+
+# Each malformed line with the exact diagnostic the original json.loads-based
+# reader gave for it, recorded before the reader was rewritten.
+SEED_DIAGNOSTICS = {
+    "trailing garbage": (
+        _variant() + " x", "MalformedLine", "line 3: invalid JSON (Extra data)"),
+    "leading BOM": (
+        "\ufeff" + _variant(), "MalformedLine",
+        "line 3: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    "trailing ideographic space": (
+        _variant() + "\u3000", "MalformedLine", "line 3: invalid JSON (Extra data)"),
+    "non-object record": (
+        json.dumps([json.loads(_variant())]), "MalformedLine", "line 3: record must be an object"),
+    "true year": (_variant(year=True), "MalformedLine", "line 3: year must be an integer"),
+    "true seq": (_variant(seq=True), "MalformedLine", "line 3: seq must be an integer"),
+    "true cites": (
+        _variant(cites=True), "MalformedLine", "line 3: cites must be a non-negative integer"),
+    "float year": (_variant(year=2005.0), "MalformedLine", "line 3: year must be an integer"),
+    "non-dict author": (
+        _variant(authors=["a1"]), "MalformedLine", "line 3: each author must be {id, countries}"),
+    "list country code": (
+        _variant(authors=[{"id": "a1", "countries": [["CHN"]]}]), "MalformedLine",
+        "line 3: invalid country code ['CHN']"),
+    "lowercase code": (
+        _variant(authors=[{"id": "a1", "countries": ["chn"]}]), "MalformedLine",
+        "line 3: invalid country code 'chn'"),
+    "duplicate author": (
+        _variant(authors=[{"id": "a1", "countries": ["CHN"]}, {"id": "a1", "countries": ["USA"]}]),
+        "MalformedLine", "line 3: author 'a1' listed twice on 'p1'"),
+    "unknown keys": (
+        _variant(zeta=1, alpha=2), "MalformedLine", "line 3: unknown keys ['alpha', 'zeta']"),
+    "missing key": (
+        json.dumps({k: v for k, v in json.loads(_variant()).items() if k != "doc_type"}),
+        "MalformedLine", "line 3: missing key 'doc_type'"),
+    "empty author list": (_variant(authors=[]), "EmptyAuthorList", "record 'p1' has no authors"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEED_DIAGNOSTICS))
+def test_diagnostics_match_recorded_seed(scheme, case):
+    line, kind, message = SEED_DIAGNOSTICS[case]
+    good = json.dumps(rec("p0", 2005, [("a1", ["CHN"])]))
+    # the good line first warms the reader's pools, so a pooled value never hides a problem
+    diags = list(iter_diagnostics([good, "", line], scheme))
+    assert [(type(d).__name__, str(d), d.line_no) for d in diags] == [(kind, message, 3)]
+    with pytest.raises((MalformedLine, EmptyAuthorList)) as exc:
+        parse_corpus([good, "", line], scheme)
+    assert (type(exc.value).__name__, str(exc.value)) == (kind, message)
+
+
+def test_record_split_across_lines_rejected(scheme):
+    r1 = json.dumps(rec("a", 2005, [("a1", ["CHN"])]))
+    r2 = json.dumps(rec("b", 2005, [("a1", ["CHN"]), ("a2", ["USA"])]))
+    r3 = json.dumps(rec("c", 2005, [("a1", ["CHN"])]))
+    cut = r2.index(', {"id": "a2"')
+    body = [r1 + "," + r2[:cut], r2[cut + 2:], r3]
+    # joined into one array the three lines decode to three valid records
+    assert len(json.loads("[" + ",".join(body) + "]")) == 3
+    with pytest.raises(MalformedLine) as exc:
+        parse_corpus(body, scheme)
+    assert str(exc.value) == "line 1: invalid JSON (Extra data)"
+    assert [str(d) for d in iter_diagnostics(body, scheme)] == [
+        "line 1: invalid JSON (Extra data)",
+        "line 2: invalid JSON (Extra data)",
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.text(alphabet=' \t\r\n{}[]":,0123456789.eE+-tfnrulasx\\\u3000\ufeff'),
+    st.builds(lambda pad, r, tail: pad + json.dumps(r) + tail,
+              st.sampled_from(["", " ", "\t", "\ufeff"]),
+              st.fixed_dictionaries({"pub_id": st.text(min_size=1), "year": st.integers()}),
+              st.sampled_from(["", "\n", " \r\n", " x", ",", "\u3000"])),
+))
+def test_load_line_json_errors_match_json_loads(line):
+    """The reader reports invalid JSON exactly when json.loads fails, with its message."""
+    try:
+        json.loads(line)
+        expected = None
+    except json.JSONDecodeError as exc:
+        expected = f"invalid JSON ({exc.msg})"
+    try:
+        _load_line(line, 7, _Pools())
+        reason = None
+    except (MalformedLine, EmptyAuthorList) as exc:
+        assert exc.line_no == 7
+        reason = getattr(exc, "reason", None)
+    if expected is None:
+        assert reason is None or not reason.startswith("invalid JSON")
+    else:
+        assert reason == expected
+
+
+def test_non_utf8_line_is_a_line_diagnostic(scheme, tmp_path):
+    good = json.dumps(rec("p1", 2005, [("a1", ["CHN"])])).encode()
+    # an invalid byte inside a string would otherwise decode as valid JSON
+    hidden = json.dumps(rec("p2#", 2005, [("a1", ["CHN"])])).encode().replace(b"#", b"\xe9")
+    path = tmp_path / "bytes.jsonl"
+    path.write_bytes(good + b"\n\xff\xfe\n" + hidden + b"\n")
+    with pytest.raises(MalformedLine) as exc:
+        load_corpus(path, scheme)
+    assert str(exc.value) == "line 2: not valid UTF-8"
+    with open_corpus(path) as fh:
+        assert [str(d) for d in iter_diagnostics(fh, scheme)] == [
+            "line 2: not valid UTF-8",
+            "line 3: not valid UTF-8",
+        ]
 
 
 def test_line_number_in_diagnostics(scheme):

@@ -47,8 +47,20 @@ def test_parallel_parse_duplicate_across_chunks(scheme, tmp_path):
     dup = rec("p0", 2006, [("a1", ["CHN"])])
     path = tmp_path / "dup.jsonl"
     write_corpus(path, records + [dup])
-    with pytest.raises(DuplicatePubId):
+    with pytest.raises(DuplicatePubId) as exc:
         load_corpus_parallel(path, scheme, None, jobs=4)
+    assert exc.value.line_no == 51  # the serial re-parse names the repeated line
+    assert str(exc.value) == "duplicate pub_id 'p0' (line 51)"
+
+
+def test_parallel_parse_non_utf8_reports_exact_line(scheme, tmp_path):
+    body = [line.encode() for line in lines(*[rec(f"p{i}", 2005, [("a1", ["CHN"])]) for i in range(60)])]
+    body.insert(40, b"\xff\xfe")
+    path = tmp_path / "bytes.jsonl"
+    path.write_bytes(b"\n".join(body) + b"\n")
+    with pytest.raises(MalformedLine) as exc:
+        load_corpus_parallel(path, scheme, None, jobs=3)
+    assert str(exc.value) == "line 41: not valid UTF-8"
 
 
 def test_parallel_parse_window_enforced(scheme, tmp_path):
