@@ -36,11 +36,8 @@ from .indicators import (
     IndicatorEngine,
     PubScore,
     citation_baselines,
-    class_intl_share,
-    copub_direction,
     fwci,
     intl_copub,
-    output_share,
     top10_flags,
 )
 from .synth import GroundTruth, ScenarioConfig, degrade, generate
@@ -76,11 +73,8 @@ __all__ = [
     "IndicatorEngine",
     "PubScore",
     "citation_baselines",
-    "class_intl_share",
-    "copub_direction",
     "fwci",
     "intl_copub",
-    "output_share",
     "top10_flags",
     "GroundTruth",
     "ScenarioConfig",

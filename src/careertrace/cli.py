@@ -92,10 +92,18 @@ class RunConfig:
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
+def _read_config_text(path: str | Path) -> str:
+    """Text of a configuration file; bytes that are not UTF-8 are a config error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise InvalidConfig(f"{path}: not valid UTF-8") from None
+
+
 def load_run_config(path: str | Path) -> dict:
     """Parse the flat ``key = value`` run-configuration file."""
     values: dict = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(_read_config_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -488,7 +496,7 @@ class Pipeline:
         corpus = self.corpus()
         end_year = self.cfg.end_year if self.cfg.end_year is not None else corpus.window[1]
         year_range = (corpus.window[0], end_year)
-        statuses = build_statuses(self.timelines(), year_range, end_year, self.cfg.grace_years)
+        statuses = build_statuses(self.timelines(), year_range, grace=self.cfg.grace_years)
         cells = stock_table(self.states(), statuses, year_range)
         self._built("stocks", key, _STOCK_HEADER[:4], lambda: [
             [c.class_key, str(c.year), str(c.preceding), str(c.new_movement)] for c in cells
@@ -709,7 +717,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.config:
-        config = ScenarioConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+        config = ScenarioConfig.from_json(_read_config_text(args.config))
     else:
         config = ScenarioConfig()
     if args.seed is not None:

@@ -118,6 +118,8 @@ def load_scheme(path: str | Path) -> RegionScheme:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemeError(f"{path}: not valid JSON ({exc.msg})") from None
+        except UnicodeDecodeError:
+            raise SchemeError(f"{path}: not valid UTF-8") from None
     if not isinstance(raw, dict) or "regions" not in raw or "label_order" not in raw:
         raise SchemeError(f"{path}: scheme file needs 'regions' and 'label_order'")
     return RegionScheme(
@@ -309,16 +311,19 @@ def _load_line(line: str, line_no: int, pools: _Pools) -> PublicationRecord:
     if not line.isascii() and _UNDECODABLE.search(line):
         raise MalformedLine(line_no, "not valid UTF-8")
     try:
-        obj, end = _scan_once(line, 0)
-    except (StopIteration, ValueError):
-        obj = None
-    if type(obj) is not dict or _json_whitespace(line, end).end() != len(line):
-        # json.loads either names the exact problem or decodes what the
-        # scanner does not start on (leading whitespace, a non-object value)
         try:
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError):
+            obj = None
+        if type(obj) is not dict or _json_whitespace(line, end).end() != len(line):
+            # json.loads either names the exact problem or decodes what the
+            # scanner does not start on (leading whitespace, a non-object value)
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(line_no, f"invalid JSON ({exc.msg})") from None
+    except json.JSONDecodeError as exc:
+        raise MalformedLine(line_no, f"invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        # both decoders recurse once per nesting level
+        raise MalformedLine(line_no, "invalid JSON (nesting too deep)") from None
     return _parse_record(obj, line_no, pools)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .corpus import Corpus, PublicationRecord, RegionScheme, regionalize
 from .errors import EmptyReference, MissingCohort, NoStateForYear
@@ -30,9 +30,6 @@ from .mobility import (
     RETURNEE_RESIDENT,
     MobilityClass,
     MobilityState,
-    domestic,
-    overseas,
-    returnee_resident,
 )
 
 CohortKey = tuple[str, int, str]
@@ -145,10 +142,6 @@ class StateIndex:
             raise NoStateForYear(author_id, year) from None
 
 
-# A selector maps a record to (full-counting membership, fractional weight).
-Selector = Callable[[PublicationRecord], "tuple[bool, float]"]
-
-
 class _WeightCache:
     """regionalize() memoized on the affiliation-country tuple."""
 
@@ -162,83 +155,6 @@ class _WeightCache:
             w = regionalize(countries, self._scheme)
             self._cache[countries] = w
         return w
-
-
-def world_selector() -> Selector:
-    def select(record: PublicationRecord) -> tuple[bool, float]:
-        return True, 1.0
-
-    return select
-
-
-def region_selector(scheme: RegionScheme, region: str) -> Selector:
-    """Output of a region under both counting schemes."""
-    weights = _WeightCache(scheme)
-
-    def select(record: PublicationRecord) -> tuple[bool, float]:
-        n = len(record.authorships)
-        frac = 0.0
-        for a in record.authorships:
-            frac += weights(a.countries).get(region, 0.0) / n
-        return frac > 0.0, frac
-
-    return select
-
-
-def class_selector(
-    scheme: RegionScheme,
-    index: StateIndex,
-    pred: Callable[[MobilityClass], bool],
-    region: str | None = None,
-) -> Selector:
-    """Output attributed to authors whose mobility class satisfies ``pred``.
-
-    With a ``region`` filter only the qualifying authorships' weight on that
-    region counts, so authors publishing without a foothold there contribute
-    nothing regardless of class history.
-    """
-    weights = _WeightCache(scheme)
-
-    def select(record: PublicationRecord) -> tuple[bool, float]:
-        n = len(record.authorships)
-        frac = 0.0
-        for a in record.authorships:
-            if not pred(index.class_at(a.author_id, record.year)):
-                continue
-            if region is None:
-                frac += 1.0 / n
-            else:
-                frac += weights(a.countries).get(region, 0.0) / n
-        return frac > 0.0, frac
-
-    return select
-
-
-def output_share(
-    corpus: Corpus,
-    population: Selector,
-    reference: Selector,
-    year: int,
-    counting: str,
-) -> float:
-    """Population weight over reference weight among records of ``year``."""
-    if counting not in ("full", "frac"):
-        raise ValueError(f"counting must be 'full' or 'frac', got {counting!r}")
-    pop = ref = 0.0
-    for rec in corpus.records:
-        if rec.year != year:
-            continue
-        p_full, p_frac = population(rec)
-        r_full, r_frac = reference(rec)
-        if counting == "full":
-            pop += 1.0 if p_full else 0.0
-            ref += 1.0 if r_full else 0.0
-        else:
-            pop += p_frac
-            ref += r_frac
-    if ref == 0.0:
-        raise EmptyReference(f"reference population has zero weight in {year}")
-    return pop / ref
 
 
 def intl_copub(
@@ -270,106 +186,6 @@ def intl_copub(
     return True, pairs
 
 
-def class_intl_share(
-    corpus: Corpus,
-    index: StateIndex,
-    pred: Callable[[MobilityClass], bool],
-    home: str,
-    year: int,
-    counting: str,
-    require_distinct_authors: bool = False,
-    unfiltered: bool = False,
-) -> float:
-    """Class share of the home region's international co-publications.
-
-    The reference is the home-region weight (or record count, full counting)
-    of international records with a home-side authorship. By default the
-    numerator is the part of that home-side weight carried by authorships
-    whose class satisfies ``pred``; ``unfiltered`` counts the class
-    authorships' whole weight instead, which is how populations publishing
-    from outside home (overseas stayers) participate in home's
-    co-publications.
-    """
-    if counting not in ("full", "frac"):
-        raise ValueError(f"counting must be 'full' or 'frac', got {counting!r}")
-    scheme = corpus.scheme
-    weights = _WeightCache(scheme)
-    num = den = 0.0
-    for rec in corpus.records:
-        if rec.year != year:
-            continue
-        international, _ = intl_copub(rec, scheme, require_distinct_authors)
-        if not international:
-            continue
-        n = len(rec.authorships)
-        home_frac = 0.0
-        class_frac = 0.0
-        for a in rec.authorships:
-            share = weights(a.countries).get(home, 0.0) / n
-            home_frac += share
-            if pred(index.class_at(a.author_id, rec.year)):
-                class_frac += (1.0 / n) if unfiltered else share
-        if home_frac == 0.0:
-            continue
-        if counting == "full":
-            den += 1.0
-            num += 1.0 if class_frac > 0.0 else 0.0
-        else:
-            den += home_frac
-            num += class_frac
-    if den == 0.0:
-        raise EmptyReference(f"no international home-region records in {year}")
-    return num / den
-
-
-def copub_direction(
-    corpus: Corpus,
-    index: StateIndex,
-    pred: Callable[[MobilityClass], bool],
-    home: str,
-    partner: str,
-    year: int | None = None,
-    require_distinct_authors: bool = False,
-) -> float:
-    """Class-held authorship fraction of the (home, partner) co-publication series.
-
-    Every record whose cross-region pairs include {home, partner} counts one
-    unit, split fractionally over its authorships; the share is the part
-    held by authors whose class satisfies ``pred``. ``year=None`` pools all
-    years. Computing the same class against both partners exposes whether
-    collaboration leans toward the former host.
-    """
-    scheme = corpus.scheme
-    pair = tuple(sorted((home, partner), key=scheme.rank))
-    num = den = 0.0
-    for rec in corpus.records:
-        if year is not None and rec.year != year:
-            continue
-        international, pairs = intl_copub(rec, scheme, require_distinct_authors)
-        if not international or pair not in pairs:
-            continue
-        den += 1.0
-        n = len(rec.authorships)
-        for a in rec.authorships:
-            if pred(index.class_at(a.author_id, rec.year)):
-                num += 1.0 / n
-    if den == 0.0:
-        raise EmptyReference(
-            f"no {pair[0]}-{pair[1]} co-publications" + (f" in {year}" if year else "")
-        )
-    return num / den
-
-
-def record_region_weights(record: PublicationRecord, scheme: RegionScheme) -> dict[str, float]:
-    """Fractional region weights of one record; they sum to 1."""
-    out: dict[str, float] = {}
-    n = len(record.authorships)
-    for a in record.authorships:
-        for region, w in regionalize(a.countries, scheme).items():
-            out[region] = out.get(region, 0.0) + w / n
-    return out
-
-
 @dataclass(frozen=True, slots=True)
 class IndicatorRow:
     population: str
@@ -377,29 +193,6 @@ class IndicatorRow:
     metric: str
     counting: str
     value: float
-
-
-def class_predicate(home: str, series: str) -> Callable[[MobilityClass], bool]:
-    """Predicate for a reporting series name.
-
-    ``DOM`` is the home region's never-entered population, ``{home}->{F}``
-    the overseas population hosted by F, ``{F}->{home}`` resident returnees
-    whose attributed host is F, ``ALL->{home}`` all resident returnees.
-    """
-    if series == "DOM":
-        target = domestic(home)
-        return lambda c: c == target
-    if series == f"ALL->{home}":
-        return lambda c: c.kind == RETURNEE_RESIDENT and c.first == home
-    if "->" in series:
-        src, _, dst = series.partition("->")
-        if src == home:
-            target = overseas(home, dst)
-            return lambda c: c == target
-        if dst == home:
-            target = returnee_resident(home, src)
-            return lambda c: c == target
-    raise ValueError(f"unknown population series {series!r}")
 
 
 # accumulator slots per (year, series)
@@ -411,9 +204,9 @@ class IndicatorEngine:
 
     Populations reported: WLD (everything), the home region, DOM, plus for
     each foreign region F the overseas series ``home->F`` and returnee
-    series ``F->home``, and the pooled ``ALL->home``. The engine is a
-    faster equivalent of the per-operation functions above and is held to
-    them by the test suite.
+    series ``F->home``, and the pooled ``ALL->home``. Its independent
+    check is the brute-force recomputation in ``tests/bruteforce.py``,
+    which the equivalence tests compare against every row family.
     """
 
     def __init__(

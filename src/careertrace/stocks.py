@@ -35,7 +35,7 @@ class ActivityStatus:
 def activity_status(
     timeline: CareerTimeline,
     year: int,
-    dataset_end: int,
+    *,
     grace: int = DEFAULT_GRACE_YEARS,
 ) -> ActivityStatus:
     """Active / GapFilled / Retired for one author-year.
@@ -43,8 +43,6 @@ def activity_status(
     Active when a position exists for the year. Interior gaps are filled
     regardless of length; trailing years are filled up to ``grace`` years
     past the last publication, then the author counts as retired.
-    ``dataset_end`` is the observation horizon the trailing rule is relative
-    to; queries beyond it follow the same rule.
     """
     if year < timeline.first_year:
         raise BeforeCareer(timeline.author_id, year, timeline.first_year)
@@ -60,7 +58,7 @@ def activity_status(
 def build_statuses(
     timelines: Mapping[str, CareerTimeline],
     year_range: tuple[int, int],
-    dataset_end: int,
+    *,
     grace: int = DEFAULT_GRACE_YEARS,
 ) -> dict[tuple[str, int], ActivityStatus]:
     """Statuses for every author-year in range, starting at each career's first year."""
@@ -68,7 +66,7 @@ def build_statuses(
     y0, y1 = year_range
     for author_id, tl in timelines.items():
         for year in range(max(y0, tl.first_year), y1 + 1):
-            statuses[(author_id, year)] = activity_status(tl, year, dataset_end, grace)
+            statuses[(author_id, year)] = activity_status(tl, year, grace=grace)
     return statuses
 
 

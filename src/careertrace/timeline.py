@@ -36,14 +36,6 @@ class CareerTimeline:
     def has_position(self, year: int) -> bool:
         return year in self._years
 
-    def position_at(self, year: int) -> YearPosition | None:
-        if year not in self._years:
-            return None
-        for p in self.positions:
-            if p.year == year:
-                return p
-        return None
-
 
 def dominant_region(
     weights: dict[str, float],

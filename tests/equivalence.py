@@ -80,7 +80,7 @@ def compare_pipeline_to_oracle(corpus_lines: list[str], scheme, home: str = "CHN
 
     # stocks
     year_range = corpus.window
-    statuses = build_statuses(timelines, year_range, year_range[1], grace)
+    statuses = build_statuses(timelines, year_range, grace=grace)
     cells = stock_table(states, statuses, year_range)
     got_cells = {(c.class_key, c.year): (c.preceding, c.new_movement) for c in cells}
     bf_positions = bf_timelines
@@ -103,15 +103,17 @@ def compare_pipeline_to_oracle(corpus_lines: list[str], scheme, home: str = "CHN
     # indicator families from the engine
     engine = IndicatorEngine(corpus, states, home)
     foreign = [r for r in scheme.labels if r != home]
-    membership = _oracle_membership(bf_classes, home, foreign)
-    _compare_share_rows(engine, records, oracle, membership, home, foreign)
+    series_list = (["DOM"] + [f"{home}->{f}" for f in foreign]
+                   + [f"{f}->{home}" for f in foreign] + [f"ALL->{home}"])
+    membership = _oracle_membership(bf_classes, home)
+    _compare_share_rows(engine, records, oracle, membership, home, series_list)
     _compare_pp10_rows(engine, records, oracle, membership, bf_scores, home)
     _compare_intl_rows(engine, records, oracle)
-    _compare_class_intl_rows(engine, records, oracle, membership, home)
-    _compare_direction(engine, records, oracle, membership, home, foreign)
+    _compare_class_intl_rows(engine, records, oracle, membership, home, series_list)
+    _compare_direction(engine, records, oracle, membership, home, foreign, series_list)
 
 
-def _oracle_membership(bf_classes, home: str, foreign: list[str]):
+def _oracle_membership(bf_classes, home: str):
     """(author, year) -> set of reporting series, plus the weight mode."""
 
     def series_for(key: str) -> list[tuple[str, bool]]:
@@ -148,11 +150,30 @@ def _series_weights(rec, oracle, membership, home: str):
     return weights
 
 
-def _compare_share_rows(engine, records, oracle, membership, home, foreign):
+def oracle_record_weights(corpus_lines: list[str], scheme, home: str = "CHN") -> list[dict]:
+    """Per record, the oracle's fractional weight toward ``WLD``, each region
+    label and each reporting series it feeds."""
+    records = bf.parse_records(corpus_lines)
+    oracle = oracle_scheme(scheme)
+    positions = bf.timelines(records, oracle)
+    membership = _oracle_membership(
+        {a: bf.classes(p, bf.moves(p), home) for a, p in positions.items()}, home
+    )
+    out = []
+    for rec in records:
+        weights = _series_weights(rec, oracle, membership, home)
+        n = len(rec["authors"])
+        for author in rec["authors"]:
+            for region, w in bf.country_weights(author["countries"], oracle).items():
+                if region != home:  # _series_weights already holds home
+                    weights[region] = weights.get(region, 0.0) + w / n
+        out.append(weights)
+    return out
+
+
+def _compare_share_rows(engine, records, oracle, membership, home, series_list):
     rows = {(r.population, r.year, r.metric, r.counting): r.value for r in engine.share_rows()}
     years = sorted({r["year"] for r in records})
-    series_list = (["DOM"] + [f"{home}->{f}" for f in foreign]
-                   + [f"{f}->{home}" for f in foreign] + [f"ALL->{home}"])
     for year in years:
         recs = [r for r in records if r["year"] == year]
         frac = {}
@@ -242,10 +263,10 @@ def _compare_intl_rows(engine, records, oracle):
         assert_close(rows[(label, year, "frac")], frac, RATIO_TOL, f"intl frac {label} {year}")
 
 
-def _compare_class_intl_rows(engine, records, oracle, membership, home):
+def _compare_class_intl_rows(engine, records, oracle, membership, home, series_list):
     rows = {(r.population, r.year, r.counting): r.value for r in engine.class_intl_rows()}
-    years = sorted({r["year"] for r in records})
-    for year in years:
+    expected = {}
+    for year in sorted({r["year"] for r in records}):
         den_frac = den_full = 0.0
         num_frac: dict[str, float] = {}
         num_full: dict[str, int] = {}
@@ -265,28 +286,42 @@ def _compare_class_intl_rows(engine, records, oracle, membership, home):
                 num_full[series] = num_full.get(series, 0) + 1
         if den_full == 0:
             continue
-        for series in num_frac:
-            assert_close(rows[(series, year, "frac")], num_frac[series] / den_frac,
-                         RATIO_TOL, f"class_intl frac {series} {year}")
-            assert_close(rows[(series, year, "full")], num_full[series] / den_full,
-                         RATIO_TOL, f"class_intl full {series} {year}")
+        for series in series_list:
+            expected[(series, year, "frac")] = num_frac.get(series, 0.0) / den_frac
+            expected[(series, year, "full")] = num_full.get(series, 0) / den_full
+    assert set(rows) == set(expected), "class_intl row keys"
+    for key, value in expected.items():
+        assert_close(rows[key], value, RATIO_TOL, f"class_intl {key}")
 
 
-def _compare_direction(engine, records, oracle, membership, home, foreign):
+def _compare_direction(engine, records, oracle, membership, home, foreign, series_list):
+    """Every per-year direction row, and the pooled share per series."""
+    rows = {(r.population, r.year, r.metric): r.value for r in engine.direction_rows()}
+    expected = {}
     for partner in foreign:
         pair = tuple(sorted((home, partner), key=oracle.rank))
-        den = 0.0
-        num: dict[str, float] = {}
+        den: dict[int, float] = {}
+        num: dict[tuple[str, int], float] = {}
         for rec in records:
             if pair not in bf.region_pairs(rec, oracle):
                 continue
-            den += 1
+            year = rec["year"]
+            den[year] = den.get(year, 0.0) + 1
             n = len(rec["authors"])
             for author in rec["authors"]:
-                for series, _whole in membership.get((author["id"], rec["year"]), []):
-                    num[series] = num.get(series, 0.0) + 1.0 / n
-        if den == 0:
+                for series, _whole in membership.get((author["id"], year), []):
+                    num[(series, year)] = num.get((series, year), 0.0) + 1.0 / n
+        if not den:
             continue
-        for series, value in num.items():
-            got = engine.direction_share(series, partner)
-            assert_close(got, value / den, RATIO_TOL, f"direction {series} {partner}")
+        metric = f"direction_{home}-{partner}"
+        for year, d in den.items():
+            for series in series_list:
+                expected[(series, year, metric)] = num.get((series, year), 0.0) / d
+        total = sum(den.values())
+        for series in series_list:
+            pooled = sum(v for (s, _y), v in num.items() if s == series) / total
+            assert_close(engine.direction_share(series, partner), pooled, RATIO_TOL,
+                         f"direction {series} {partner}")
+    assert set(rows) == set(expected), "direction row keys"
+    for key, value in expected.items():
+        assert_close(rows[key], value, RATIO_TOL, f"direction {key}")

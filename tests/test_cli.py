@@ -73,6 +73,32 @@ def test_moves_non_utf8_line(tmp_path, capsys):
     assert capsys.readouterr().err == "careertrace: error: line 3: not valid UTF-8\n"
 
 
+def _with_deep_line(tmp_path) -> Path:
+    body = lines(rec("p1", 2005, [("a1", ["CHN"])]), rec("p2", 2006, [("a1", ["USA"])]))
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n".join([body[0], "[" * 100_000, body[1], " " + '{"a":' * 100_000]) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+def test_validate_deeply_nested_line(tmp_path, capsys):
+    path = _with_deep_line(tmp_path)
+    assert run(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"careertrace: {path}: line 2: invalid JSON (nesting too deep)\n"
+        f"careertrace: {path}: line 4: invalid JSON (nesting too deep)\n"
+        f"careertrace: {path}: 2 problem(s) found\n"
+    )
+
+
+def test_moves_deeply_nested_line(tmp_path, capsys):
+    path = _with_deep_line(tmp_path)
+    for jobs in ("1", "2"):
+        assert run(["moves", str(path), "-o", str(tmp_path / jobs), "--no-cache",
+                    "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == "careertrace: error: line 2: invalid JSON (nesting too deep)\n"
+
+
 def test_moves_duplicate_across_chunks_same_diagnostic_for_any_jobs(tmp_path, capsys):
     records = [rec(f"p{i}", 2005, [("a1", ["CHN"])]) for i in range(200)]
     path = tmp_path / "dup.jsonl"
@@ -320,6 +346,28 @@ def test_bad_scheme_file_exit_one(tmp_path):
     corpus = tmp_path / "c.jsonl"
     write_corpus(corpus, [rec("p0", 2005, [("a1", ["CHN"])])])
     assert run(["validate", str(corpus), "--scheme", str(scheme_path)]) == 1
+
+
+def test_non_utf8_scheme_file_exit_one(small_corpus, tmp_path, capsys):
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_bytes(b'{"regions": {"A": ["CHN"]}, "label_order": ["A", "OTHER"], "x": "\xff"}')
+    assert run(["validate", str(small_corpus), "--scheme", str(scheme_path)]) == 1
+    assert capsys.readouterr().err == f"careertrace: error: {scheme_path}: not valid UTF-8\n"
+
+
+def test_non_utf8_run_config_exit_one(small_corpus, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"home = CHN\xff\n")
+    assert run(["validate", str(small_corpus), "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"careertrace: error: {config}: not valid UTF-8\n"
+
+
+def test_non_utf8_scenario_config_exit_one(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_bytes(b'{"seed": 1, "x": "\xff"}')
+    assert run(["synth", "--config", str(config), "-o", str(tmp_path / "c.jsonl"),
+                "--truth", str(tmp_path / "t.jsonl")]) == 1
+    assert capsys.readouterr().err == f"careertrace: error: {config}: not valid UTF-8\n"
 
 
 def test_manifest_rerun_identical_except_timestamp(small_corpus, tmp_path):

@@ -6,13 +6,11 @@ import pytest
 from careertrace import (
     build_timelines,
     citation_baselines,
-    class_intl_share,
     classify,
-    copub_direction,
     detect_moves,
     fwci,
     intl_copub,
-    output_share,
+    regionalize,
     top10_flags,
 )
 from careertrace.errors import EmptyReference, MissingCohort
@@ -20,14 +18,10 @@ from careertrace.indicators import (
     CitationBaselines,
     IndicatorEngine,
     StateIndex,
-    class_predicate,
-    class_selector,
     nearest_rank_90th,
-    record_region_weights,
-    region_selector,
-    world_selector,
 )
-from conftest import corpus_of, random_records, rec
+from conftest import corpus_of, lines, random_records, rec
+from equivalence import compare_pipeline_to_oracle, oracle_record_weights
 
 
 def states_for(corpus, home="CHN"):
@@ -36,6 +30,23 @@ def states_for(corpus, home="CHN"):
         a: classify(tl, detect_moves(tl), home, corpus.scheme)
         for a, tl in timelines.items()
     }
+
+
+def engine_for(corpus, home="CHN"):
+    return IndicatorEngine(corpus, states_for(corpus, home), home)
+
+
+def share_rows(engine):
+    """(population, year, counting) -> value of the output_share rows."""
+    return {
+        (r.population, r.year, r.counting): r.value
+        for r in engine.share_rows()
+        if r.metric == "output_share"
+    }
+
+
+def class_intl_rows(engine):
+    return {(r.population, r.year, r.counting): r.value for r in engine.class_intl_rows()}
 
 
 def test_baseline_mean(scheme):
@@ -155,11 +166,9 @@ def test_pp10_rank_invariance_under_citation_scaling(scheme):
 
 def test_output_share_zero_population(scheme):
     corpus = corpus_of(rec("p1", 2014, [("a1", ["CHN"])]))
-    states = states_for(corpus)
-    pop = class_selector(scheme, StateIndex(states), class_predicate("CHN", "ALL->CHN"), "CHN")
-    ref = region_selector(scheme, "CHN")
-    assert output_share(corpus, pop, ref, 2014, "frac") == 0.0
-    assert output_share(corpus, pop, ref, 2014, "full") == 0.0
+    rows = share_rows(engine_for(corpus))
+    assert rows[("ALL->CHN", 2014, "frac")] == 0.0
+    assert rows[("ALL->CHN", 2014, "full")] == 0.0
 
 
 def test_output_share_returnee_weights(scheme):
@@ -168,25 +177,18 @@ def test_output_share_returnee_weights(scheme):
         rec("p2", 2007, [("a1", ["USA"])]),
         rec("p3", 2014, [("a1", ["CHN"]), ("a2", ["CHN"])]),
     )
-    states = states_for(corpus)
-    pop = class_selector(
-        scheme, StateIndex(states), class_predicate("CHN", "USA->CHN"), "CHN"
-    )
-    full, frac = pop(corpus.records[-1])
-    assert full is True
-    assert frac == pytest.approx(0.5)
-    ref = region_selector(scheme, "CHN")
-    assert output_share(corpus, pop, ref, 2014, "frac") == pytest.approx(0.5)
-    assert output_share(corpus, pop, ref, 2014, "full") == pytest.approx(1.0)
+    # p3 is the only 2014 record and has home weight 1, so its returnee
+    # weight (0.5) and full-count membership (1) are the 2014 shares
+    rows = share_rows(engine_for(corpus))
+    assert rows[("USA->CHN", 2014, "frac")] == pytest.approx(0.5)
+    assert rows[("USA->CHN", 2014, "full")] == pytest.approx(1.0)
 
 
 def test_output_share_empty_reference(scheme):
     corpus = corpus_of(rec("p1", 2014, [("a1", ["USA"])]))
-    states = states_for(corpus)
-    pop = class_selector(scheme, StateIndex(states), class_predicate("CHN", "ALL->CHN"), "CHN")
-    ref = region_selector(scheme, "CHN")
-    with pytest.raises(EmptyReference):
-        output_share(corpus, pop, ref, 2014, "frac")
+    engine = engine_for(corpus)
+    assert engine.years() == [2014]
+    assert not any(year == 2014 for _, year, _ in share_rows(engine))
 
 
 def test_intl_copub_domestic_record(scheme):
@@ -224,11 +226,9 @@ def test_intl_copub_three_regions(scheme):
 
 def test_class_intl_share_no_international_records(scheme):
     corpus = corpus_of(rec("p1", 2014, [("a1", ["CHN"])]))
-    states = states_for(corpus)
-    with pytest.raises(EmptyReference):
-        class_intl_share(
-            corpus, StateIndex(states), class_predicate("CHN", "ALL->CHN"), "CHN", 2014, "frac"
-        )
+    engine = engine_for(corpus)
+    assert engine.years() == [2014]
+    assert not any(year == 2014 for _, year, _ in class_intl_rows(engine))
 
 
 def test_class_intl_share_fifty_percent(scheme):
@@ -240,15 +240,9 @@ def test_class_intl_share_fifty_percent(scheme):
         rec("p3", 2014, [("a1", ["CHN"]), ("c1", ["USA"])]),
         rec("p4", 2014, [("b1", ["CHN"]), ("b2", ["USA"])]),
     )
-    states = states_for(corpus)
-    share = class_intl_share(
-        corpus, StateIndex(states), class_predicate("CHN", "USA->CHN"), "CHN", 2014, "frac"
-    )
-    assert share == pytest.approx(0.5)
-    share_full = class_intl_share(
-        corpus, StateIndex(states), class_predicate("CHN", "USA->CHN"), "CHN", 2014, "full"
-    )
-    assert share_full == pytest.approx(0.5)
+    rows = class_intl_rows(engine_for(corpus))
+    assert rows[("USA->CHN", 2014, "frac")] == pytest.approx(0.5)
+    assert rows[("USA->CHN", 2014, "full")] == pytest.approx(0.5)
 
 
 def test_copub_direction_leans_to_former_host(scheme):
@@ -258,22 +252,18 @@ def test_copub_direction_leans_to_former_host(scheme):
         rec("p3", 2009, [("r1", ["CHN"]), ("e1", ["FRA"])]),
         rec("p4", 2009, [("d1", ["CHN"]), ("u1", ["USA"])]),
     )
-    states = states_for(corpus)
-    index = StateIndex(states)
-    pred = class_predicate("CHN", "EU28->CHN")
-    toward_host = copub_direction(corpus, index, pred, "CHN", "EU28", 2009)
-    toward_other = copub_direction(corpus, index, pred, "CHN", "USA", 2009)
+    rows = {(r.population, r.year, r.metric): r.value for r in engine_for(corpus).direction_rows()}
+    toward_host = rows[("EU28->CHN", 2009, "direction_CHN-EU28")]
+    toward_other = rows[("EU28->CHN", 2009, "direction_CHN-USA")]
     assert toward_host == pytest.approx(0.5)
     assert toward_other == 0.0
 
 
 def test_copub_direction_empty_series(scheme):
     corpus = corpus_of(rec("p1", 2014, [("a1", ["CHN"])]))
-    states = states_for(corpus)
+    engine = engine_for(corpus)
     with pytest.raises(EmptyReference):
-        copub_direction(
-            corpus, StateIndex(states), class_predicate("CHN", "EU28->CHN"), "CHN", "EU28"
-        )
+        engine.direction_share("EU28->CHN", "EU28")
 
 
 def test_output_share_constructed_thirteen_percent(scheme):
@@ -288,12 +278,9 @@ def test_output_share_constructed_thirteen_percent(scheme):
     for i in range(87):
         target.append(rec(f"d{i:02d}", 2014, [(f"d{i}", ["CHN"])]))
     corpus = corpus_of(*(records + target))
-    states = states_for(corpus)
-    pop = class_selector(scheme, StateIndex(states), class_predicate("CHN", "ALL->CHN"), "CHN")
-    ref = region_selector(scheme, "CHN")
-    share = output_share(corpus, pop, ref, 2014, "frac")
-    assert abs(share - 0.13) < 1e-12
-    assert output_share(corpus, pop, ref, 2014, "full") == pytest.approx(0.13)
+    rows = share_rows(engine_for(corpus))
+    assert abs(rows[("ALL->CHN", 2014, "frac")] - 0.13) < 1e-12
+    assert rows[("ALL->CHN", 2014, "full")] == pytest.approx(0.13)
 
 
 def test_class_intl_share_constructed_twenty_seven_percent(scheme):
@@ -311,11 +298,19 @@ def test_class_intl_share_constructed_twenty_seven_percent(scheme):
     for i in range(73):
         intl.append(rec(f"j{i:02d}", 2014, [(f"c{i}", ["CHN"]), (f"v{i}", ["USA"])], seq=1))
     corpus = corpus_of(*(history + intl))
-    states = states_for(corpus)
-    share = class_intl_share(
-        corpus, StateIndex(states), class_predicate("CHN", "ALL->CHN"), "CHN", 2014, "frac"
-    )
+    share = class_intl_rows(engine_for(corpus))[("ALL->CHN", 2014, "frac")]
     assert abs(share - 0.27) < 1e-9
+
+
+def region_weights_of(record, scheme):
+    """Fractional region weights of one record: each authorship's
+    ``regionalize`` weights over the number of authorships."""
+    out: dict[str, float] = {}
+    n = len(record.authorships)
+    for a in record.authorships:
+        for region, w in regionalize(a.countries, scheme).items():
+            out[region] = out.get(region, 0.0) + w / n
+    return out
 
 
 def test_record_weights_sum_to_one(scheme):
@@ -324,7 +319,7 @@ def test_record_weights_sum_to_one(scheme):
     corpus = corpus_of(*records)
     total = 0.0
     for record in corpus.records:
-        weights = record_region_weights(record, scheme)
+        weights = region_weights_of(record, scheme)
         assert abs(sum(weights.values()) - 1.0) < 1e-12
         total += sum(weights.values())
     assert abs(total - len(corpus.records)) < 1e-9
@@ -332,23 +327,16 @@ def test_record_weights_sum_to_one(scheme):
 
 def test_full_count_dominates_fractional_weight(scheme):
     rng = random.Random(19)
-    records = random_records(rng, 150)
-    corpus = corpus_of(*records)
-    states = states_for(corpus)
-    index = StateIndex(states)
-    selectors = [
-        world_selector(),
-        region_selector(scheme, "CHN"),
-        region_selector(scheme, "EU28"),
-        class_selector(scheme, index, class_predicate("CHN", "ALL->CHN"), "CHN"),
-        class_selector(scheme, index, class_predicate("CHN", "DOM"), "CHN"),
-        class_selector(scheme, index, class_predicate("CHN", "CHN->USA")),
-    ]
-    for record in corpus.records:
-        for selector in selectors:
-            full, frac = selector(record)
-            assert (1.0 if full else 0.0) >= frac - 1e-12
+    corpus_lines = lines(*random_records(rng, 150))
+    series = ("WLD", "CHN", "EU28", "ALL->CHN", "DOM", "CHN->USA")
+    for weights in oracle_record_weights(corpus_lines, scheme):
+        for name in series:
+            frac = weights.get(name, 0.0)
+            full = 1.0 if frac > 0.0 else 0.0
+            assert full >= frac - 1e-12
             assert frac >= 0.0
+    # the engine's full and fractional rows equal the oracle's on this corpus
+    compare_pipeline_to_oracle(corpus_lines, scheme)
 
 
 def test_home_output_partitions_across_classes(scheme):
@@ -357,73 +345,28 @@ def test_home_output_partitions_across_classes(scheme):
     corpus = corpus_of(*records)
     states = states_for(corpus)
     index = StateIndex(states)
+    home_by_year: dict[int, float] = {}
     for record in corpus.records:
-        home_w = record_region_weights(record, scheme).get("CHN", 0.0)
+        home_w = region_weights_of(record, scheme).get("CHN", 0.0)
+        home_by_year[record.year] = home_by_year.get(record.year, 0.0) + home_w
         n = len(record.authorships)
         by_kind: dict[str, float] = {}
         for a in record.authorships:
             klass = index.class_at(a.author_id, record.year)
-            from careertrace import regionalize
-
             share = regionalize(a.countries, scheme).get("CHN", 0.0) / n
             by_kind[klass.kind] = by_kind.get(klass.kind, 0.0) + share
         assert abs(sum(by_kind.values()) - home_w) < 1e-12
-
-
-def test_engine_matches_operation_functions(scheme):
-    rng = random.Random(37)
-    records = random_records(rng, 150)
-    corpus = corpus_of(*records)
-    states = states_for(corpus)
+    # the engine's fractional world share is the same home weight over the record count
     engine = IndicatorEngine(corpus, states, "CHN")
-    index = StateIndex(states)
-    ref = region_selector(scheme, "CHN")
-    years = sorted({r.year for r in corpus.records})
-    share_rows = {
-        (r.population, r.year, r.metric, r.counting): r.value for r in engine.share_rows()
-    }
-    for year in years:
-        for series in ("DOM", "ALL->CHN", "USA->CHN", "EU28->CHN"):
-            pred = class_predicate("CHN", series)
-            pop = class_selector(scheme, index, pred, "CHN")
-            for counting in ("full", "frac"):
-                key = (series, year, "output_share", counting)
-                if key not in share_rows:
-                    continue
-                expected = output_share(corpus, pop, ref, year, counting)
-                assert share_rows[key] == pytest.approx(expected, abs=1e-12), key
-        # overseas populations attribute their whole weight
-        for series in ("CHN->USA", "CHN->EU28", "CHN->OTHER"):
-            pred = class_predicate("CHN", series)
-            pop = class_selector(scheme, index, pred, None)
-            for counting in ("full", "frac"):
-                key = (series, year, "output_share", counting)
-                if key not in share_rows:
-                    continue
-                expected = output_share(corpus, pop, ref, year, counting)
-                assert share_rows[key] == pytest.approx(expected, abs=1e-12), key
-    intl_rows = {
-        (r.population, r.year, r.counting): r.value for r in engine.class_intl_rows()
-    }
-    for year in years:
-        for series in ("DOM", "ALL->CHN", "USA->CHN"):
-            key = (series, year, "frac")
-            if key not in intl_rows:
-                continue
-            expected = class_intl_share(
-                corpus, index, class_predicate("CHN", series), "CHN", year, "frac"
-            )
-            assert intl_rows[key] == pytest.approx(expected, abs=1e-12), key
-    for partner in ("USA", "EU28"):
-        for series in ("ALL->CHN", f"{partner}->CHN"):
-            try:
-                expected = copub_direction(
-                    corpus, index, class_predicate("CHN", series), "CHN", partner
-                )
-            except EmptyReference:
-                continue
-            got = engine.direction_share(series, partner)
-            assert got == pytest.approx(expected, abs=1e-12)
+    for r in engine.share_rows():
+        if r.metric == "world_share" and r.counting == "frac":
+            n_year = sum(1 for rec_ in corpus.records if rec_.year == r.year)
+            assert abs(r.value * n_year - home_by_year[r.year]) < 1e-9
+
+
+def test_engine_matches_oracle_on_random_corpus(scheme):
+    rng = random.Random(37)
+    compare_pipeline_to_oracle(lines(*random_records(rng, 150)), scheme)
 
 
 def test_symmetric_generator_direction_shares_balance(scheme):

@@ -32,14 +32,14 @@ def pipeline_states(scheme, records, home="CHN", grace=2, end_year=None, year_ra
     }
     end = end_year if end_year is not None else corpus.window[1]
     rng = year_range or (corpus.window[0], end)
-    statuses = build_statuses(timelines, rng, end, grace)
+    statuses = build_statuses(timelines, rng, grace=grace)
     return states, statuses, rng
 
 
 def test_interior_gap_is_filled(scheme):
     tl = timeline_of(scheme, (2010, "CHN"), (2013, "CHN"))
-    assert activity_status(tl, 2011, 2017).status == GAP_FILLED
-    assert activity_status(tl, 2012, 2017).status == GAP_FILLED
+    assert activity_status(tl, 2011).status == GAP_FILLED
+    assert activity_status(tl, 2012).status == GAP_FILLED
 
 
 def test_trailing_grace_hand_table(scheme):
@@ -53,18 +53,18 @@ def test_trailing_grace_hand_table(scheme):
         2018: RETIRED,
     }
     for year, status in expected.items():
-        assert activity_status(tl, year, 2017).status == status, year
+        assert activity_status(tl, year).status == status, year
 
 
 def test_active_at_position_year(scheme):
     tl = timeline_of(scheme, (2010, "CHN"))
-    assert activity_status(tl, 2010, 2017).status == ACTIVE
+    assert activity_status(tl, 2010).status == ACTIVE
 
 
 def test_before_career_raises(scheme):
     tl = timeline_of(scheme, (2010, "CHN"))
     with pytest.raises(BeforeCareer):
-        activity_status(tl, 2009, 2017)
+        activity_status(tl, 2009)
 
 
 def test_grace_boundary_exhaustive(scheme):
@@ -72,7 +72,7 @@ def test_grace_boundary_exhaustive(scheme):
     for last in range(2005, 2015):
         tl = timeline_of(scheme, (2000, "CHN"), (last, "CHN"))
         for year in range(2000, last + 6):
-            status = activity_status(tl, year, 2020).status
+            status = activity_status(tl, year).status
             if year in (2000, last):
                 assert status == ACTIVE
             elif year < last:
@@ -85,15 +85,15 @@ def test_grace_boundary_exhaustive(scheme):
 
 def test_configurable_grace(scheme):
     tl = timeline_of(scheme, (2010, "CHN"))
-    assert activity_status(tl, 2011, 2017, grace=0).status == RETIRED
-    assert activity_status(tl, 2013, 2017, grace=3).status == GAP_FILLED
-    assert activity_status(tl, 2014, 2017, grace=3).status == RETIRED
+    assert activity_status(tl, 2011, grace=0).status == RETIRED
+    assert activity_status(tl, 2013, grace=3).status == GAP_FILLED
+    assert activity_status(tl, 2014, grace=3).status == RETIRED
 
 
 def test_interior_gap_filled_regardless_of_length(scheme):
     tl = timeline_of(scheme, (2000, "CHN"), (2015, "CHN"))
     for year in range(2001, 2015):
-        assert activity_status(tl, year, 2017).status == GAP_FILLED
+        assert activity_status(tl, year).status == GAP_FILLED
 
 
 def test_stock_table_overseas_entry(scheme):
