@@ -2,8 +2,8 @@
 synth and report subcommands.
 
 Data outputs are deterministic: fixed inputs and configuration produce
-byte-identical files regardless of input line order or parallelism. Every
-output directory carries exactly one ``manifest.json`` (file outputs get a
+byte-identical files regardless of input line order. Every output
+directory carries exactly one ``manifest.json`` (file outputs get a
 ``<name>.manifest.json`` sidecar) echoing the effective configuration,
 input hashes and per-stage cache usage.
 
@@ -13,13 +13,10 @@ Exit codes: 0 success, 1 data or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime as _dt
 import hashlib
-import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,15 +24,12 @@ from pathlib import Path
 from . import __version__
 from .corpus import (
     Corpus,
-    PublicationRecord,
     RegionScheme,
     default_scheme_path,
     iter_diagnostics,
+    load_corpus,
     load_scheme,
-    make_corpus,
     open_corpus,
-    parse_corpus,
-    read_records,
 )
 from .errors import CareerTraceError, InvalidConfig, UndefinedRatio
 from .indicators import IndicatorEngine, IndicatorRow
@@ -235,59 +229,6 @@ class Cache:
                                encoding="utf-8")
 
 
-def _parse_chunk(job: tuple[str, int, int, tuple[int, int] | None]) -> list[PublicationRecord]:
-    path, start, end, window = job
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        data = fh.read(end - start)
-    # the same newline handling and per-line reader as a serial parse
-    text = io.StringIO(data.decode("utf-8", "surrogateescape"), newline=None)
-    return read_records(text, window)
-
-
-def _chunk_offsets(path: str | Path, jobs: int) -> list[tuple[int, int]]:
-    size = os.path.getsize(path)
-    if size == 0:
-        return []
-    bounds = [0]
-    with open(path, "rb") as fh:
-        for i in range(1, jobs):
-            pos = (size * i) // jobs
-            if pos <= bounds[-1]:
-                continue
-            fh.seek(pos)
-            fh.readline()
-            cut = fh.tell()
-            if bounds[-1] < cut < size:
-                bounds.append(cut)
-    bounds.append(size)
-    return list(zip(bounds, bounds[1:]))
-
-
-def load_corpus_parallel(
-    path: str | Path,
-    scheme: RegionScheme,
-    window: tuple[int, int] | None,
-    jobs: int,
-) -> Corpus:
-    """Chunked parallel parse; canonical sort makes the result chunk-independent.
-
-    Any problem, including a pub_id repeated across chunks, re-parses serially
-    so that the diagnostic is exactly that of ``jobs=1``.
-    """
-    if jobs > 1:
-        chunks = [(str(path), start, end, window) for start, end in _chunk_offsets(path, jobs)]
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                records = [rec for part in pool.map(_parse_chunk, chunks) for rec in part]
-            if len({rec.pub_id for rec in records}) == len(records):
-                return make_corpus(records, scheme, window)
-        except CareerTraceError:
-            pass
-    with open_corpus(path) as fh:
-        return parse_corpus(fh, scheme, window)
-
-
 _TIMELINE_HEADER = ["author_id", "year", "source_pub", "dominant", "weights", "origin_ambiguous"]
 _STATE_HEADER = ["author_id", "year", "class", "since_year"]
 _MOVE_HEADER = ["author_id", "from", "to", "year"]
@@ -387,13 +328,11 @@ class Pipeline:
         scheme_path: Path,
         cfg: RunConfig,
         cache: Cache,
-        jobs: int = 1,
     ):
         self.corpus_path = corpus_path
         self.scheme_path = scheme_path
         self.cfg = cfg
         self.cache = cache
-        self.jobs = jobs
         self.scheme = load_scheme(scheme_path)
         self.corpus_hash = sha256_file(corpus_path)
         self.scheme_hash = sha256_file(scheme_path)
@@ -421,9 +360,7 @@ class Pipeline:
 
     def corpus(self) -> Corpus:
         if self._corpus is None:
-            self._corpus = load_corpus_parallel(
-                self.corpus_path, self.scheme, self._window(), self.jobs
-            )
+            self._corpus = load_corpus(self.corpus_path, self.scheme, self._window())
             self._stage("parse", "off")
         return self._corpus
 
@@ -524,7 +461,6 @@ def _add_common(parser: argparse.ArgumentParser, output: str | None = None) -> N
     parser.add_argument("--year-max", type=int, default=None, dest="year_max")
     if output:
         parser.add_argument("-o", "--output", required=True, help=output)
-    parser.add_argument("--jobs", type=int, default=1, help="parallel parse workers")
     parser.add_argument("--no-cache", action="store_true", help="bypass the table cache")
     parser.add_argument("--cache-dir", default=None, help="cache directory")
 
@@ -598,7 +534,7 @@ def _scheme_path(args: argparse.Namespace) -> Path:
 def _make_pipeline(args: argparse.Namespace, cfg: RunConfig) -> Pipeline:
     cache_root = Path(args.cache_dir) if args.cache_dir else Path.home() / ".cache" / "careertrace"
     cache = Cache(cache_root, enabled=not args.no_cache)
-    return Pipeline(Path(args.corpus), _scheme_path(args), cfg, cache, jobs=max(1, args.jobs))
+    return Pipeline(Path(args.corpus), _scheme_path(args), cfg, cache)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -717,7 +653,11 @@ def cmd_indicators(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.config:
-        config = ScenarioConfig.from_json(_read_config_text(args.config))
+        text = _read_config_text(args.config)
+        try:
+            config = ScenarioConfig.from_json(text)
+        except InvalidConfig as exc:
+            raise InvalidConfig(f"{args.config}: {exc}") from None
     else:
         config = ScenarioConfig()
     if args.seed is not None:

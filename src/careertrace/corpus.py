@@ -118,6 +118,8 @@ def load_scheme(path: str | Path) -> RegionScheme:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemeError(f"{path}: not valid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise SchemeError(f"{path}: not valid JSON (nesting too deep)") from None
         except UnicodeDecodeError:
             raise SchemeError(f"{path}: not valid UTF-8") from None
     if not isinstance(raw, dict) or "regions" not in raw or "label_order" not in raw:
@@ -351,18 +353,6 @@ def _read(
             yield rec
 
 
-def read_records(
-    lines: Iterable[str], window: tuple[int, int] | None = None
-) -> list[PublicationRecord]:
-    """Valid records in input order; raises on the first invalid line."""
-    records = []
-    for item in _read(lines, window):
-        if type(item) is not PublicationRecord:
-            raise item
-        records.append(item)
-    return records
-
-
 def iter_diagnostics(
     lines: Iterable[str],
     scheme: RegionScheme,
@@ -372,18 +362,6 @@ def iter_diagnostics(
     for item in _read(lines, window):
         if type(item) is not PublicationRecord:
             yield item
-
-
-def make_corpus(
-    records: list[PublicationRecord],
-    scheme: RegionScheme,
-    window: tuple[int, int] | None,
-) -> Corpus:
-    """Sort records canonically; an omitted window is inferred from the data."""
-    records.sort(key=PublicationRecord.sort_key)
-    if window is None:
-        window = (records[0].year, records[-1].year) if records else (0, 0)
-    return Corpus(records=records, scheme=scheme, window=window)
 
 
 def parse_corpus(
@@ -397,7 +375,15 @@ def parse_corpus(
     line order: records are sorted by (year, seq, pub_id) after ingestion.
     When ``window`` is omitted it is inferred from the data.
     """
-    return make_corpus(read_records(lines, window), scheme, window)
+    records = []
+    for item in _read(lines, window):
+        if type(item) is not PublicationRecord:
+            raise item
+        records.append(item)
+    records.sort(key=PublicationRecord.sort_key)
+    if window is None:
+        window = (records[0].year, records[-1].year) if records else (0, 0)
+    return Corpus(records=records, scheme=scheme, window=window)
 
 
 def open_corpus(path: str | Path) -> TextIO:

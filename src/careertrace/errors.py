@@ -1,8 +1,4 @@
-"""Exception types raised across the careertrace pipeline.
-
-Exceptions with structured constructor arguments define ``__reduce__`` so
-they survive pickling across process-pool workers.
-"""
+"""Exception types raised across the careertrace pipeline."""
 
 from __future__ import annotations
 
@@ -19,9 +15,6 @@ class MalformedLine(CareerTraceError):
         self.line_no = line_no
         self.reason = reason
 
-    def __reduce__(self):
-        return (MalformedLine, (self.line_no, self.reason))
-
 
 class DuplicatePubId(CareerTraceError):
     def __init__(self, pub_id: str, line_no: int | None = None):
@@ -30,18 +23,12 @@ class DuplicatePubId(CareerTraceError):
         self.pub_id = pub_id
         self.line_no = line_no
 
-    def __reduce__(self):
-        return (DuplicatePubId, (self.pub_id, self.line_no))
-
 
 class EmptyAuthorList(CareerTraceError):
     def __init__(self, pub_id: str, line_no: int | None = None):
         super().__init__(f"record {pub_id!r} has no authors")
         self.pub_id = pub_id
         self.line_no = line_no
-
-    def __reduce__(self):
-        return (EmptyAuthorList, (self.pub_id, self.line_no))
 
 
 class YearOutOfWindow(CareerTraceError):
@@ -50,9 +37,6 @@ class YearOutOfWindow(CareerTraceError):
         self.pub_id = pub_id
         self.year = year
         self.window = window
-
-    def __reduce__(self):
-        return (YearOutOfWindow, (self.pub_id, self.year, self.window))
 
 
 class SchemeError(CareerTraceError):
@@ -64,18 +48,12 @@ class HomeMismatch(CareerTraceError):
         super().__init__(f"home region {home!r} is not a label of the scheme")
         self.home = home
 
-    def __reduce__(self):
-        return (HomeMismatch, (self.home,))
-
 
 class NoStateForYear(CareerTraceError):
     def __init__(self, author_id: str, year: int):
         super().__init__(f"author {author_id!r} has no mobility state in {year}")
         self.author_id = author_id
         self.year = year
-
-    def __reduce__(self):
-        return (NoStateForYear, (self.author_id, self.year))
 
 
 class BeforeCareer(CareerTraceError):
@@ -84,9 +62,6 @@ class BeforeCareer(CareerTraceError):
         self.author_id = author_id
         self.year = year
         self.first_year = first_year
-
-    def __reduce__(self):
-        return (BeforeCareer, (self.author_id, self.year, self.first_year))
 
 
 class UndefinedRatio(CareerTraceError):
@@ -102,9 +77,6 @@ class MissingCohort(CareerTraceError):
         super().__init__(f"no citation baseline for cohort ({field}, {year}, {doc_type})")
         self.cohort = (field, year, doc_type)
 
-    def __reduce__(self):
-        return (MissingCohort, self.cohort)
-
 
 class InvalidConfig(CareerTraceError):
     """A scenario or run configuration failed validation."""
@@ -114,6 +86,3 @@ class InvalidConfig(CareerTraceError):
             problems = [problems]
         super().__init__("; ".join(problems))
         self.problems = problems
-
-    def __reduce__(self):
-        return (InvalidConfig, (self.problems,))

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import PublicationRecord, RegionScheme
-from .errors import HomeMismatch, NoStateForYear
+from .corpus import RegionScheme
+from .errors import HomeMismatch
 from .timeline import CareerTimeline
 
 DOMESTIC = "Domestic"
@@ -170,18 +170,3 @@ def classify(
         )
     return states
 
-
-def class_of_publication(
-    record: PublicationRecord,
-    author_id: str,
-    states: list[MobilityState],
-) -> MobilityClass:
-    """Class under which the author's contribution to ``record`` attributes.
-
-    Publications in ReturneeAbroad years attribute to the current host's
-    output, not to returnee output of home.
-    """
-    for st in states:
-        if st.year == record.year:
-            return st.klass
-    raise NoStateForYear(author_id, record.year)

@@ -76,6 +76,8 @@ class ScenarioConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"scenario config is not valid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise InvalidConfig("scenario config is not valid JSON (nesting too deep)") from None
         if not isinstance(raw, dict):
             raise InvalidConfig("scenario config must be a JSON object")
         known = set(ScenarioConfig.__dataclass_fields__)

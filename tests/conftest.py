@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from careertrace import default_scheme, parse_corpus
+from careertrace.corpus import default_scheme, parse_corpus
 
 
 def rec(pub_id, year, authors, seq=0, fields=("F1",), doc_type="ar", cites=0):

@@ -10,17 +10,11 @@ from __future__ import annotations
 import math
 
 import bruteforce as bf
-from careertrace import (
-    build_statuses,
-    build_timelines,
-    citation_baselines,
-    classify,
-    detect_moves,
-    parse_corpus,
-    top10_flags,
-)
-from careertrace.indicators import IndicatorEngine
-from careertrace.stocks import stock_table
+from careertrace.corpus import parse_corpus
+from careertrace.indicators import IndicatorEngine, citation_baselines, top10_flags
+from careertrace.mobility import classify, detect_moves
+from careertrace.stocks import build_statuses, stock_table
+from careertrace.timeline import build_timelines
 
 RATIO_TOL = 1e-9
 WEIGHT_TOL = 1e-11

@@ -93,22 +93,21 @@ def test_validate_deeply_nested_line(tmp_path, capsys):
 
 def test_moves_deeply_nested_line(tmp_path, capsys):
     path = _with_deep_line(tmp_path)
-    for jobs in ("1", "2"):
-        assert run(["moves", str(path), "-o", str(tmp_path / jobs), "--no-cache",
-                    "--jobs", jobs]) == 1
-        assert capsys.readouterr().err == "careertrace: error: line 2: invalid JSON (nesting too deep)\n"
+    assert run(["moves", str(path), "-o", str(tmp_path / "out"), "--no-cache"]) == 1
+    assert capsys.readouterr().err == "careertrace: error: line 2: invalid JSON (nesting too deep)\n"
 
 
-def test_moves_duplicate_across_chunks_same_diagnostic_for_any_jobs(tmp_path, capsys):
+def test_moves_duplicate_pub_id_names_the_repeated_line(tmp_path, capsys):
     records = [rec(f"p{i}", 2005, [("a1", ["CHN"])]) for i in range(200)]
     path = tmp_path / "dup.jsonl"
     write_corpus(path, records + [rec("p3", 2006, [("a1", ["USA"])])])
-    errs = []
-    for jobs in ("1", "2"):
-        assert run(["moves", str(path), "-o", str(tmp_path / jobs), "--no-cache",
-                    "--jobs", jobs]) == 1
-        errs.append(capsys.readouterr().err)
-    assert errs == ["careertrace: error: duplicate pub_id 'p3' (line 201)\n"] * 2
+    assert run(["moves", str(path), "-o", str(tmp_path / "out"), "--no-cache"]) == 1
+    assert capsys.readouterr().err == "careertrace: error: duplicate pub_id 'p3' (line 201)\n"
+
+
+def test_jobs_flag_is_a_usage_error(small_corpus, tmp_path):
+    assert run(["moves", str(small_corpus), "-o", str(tmp_path / "out"), "--no-cache",
+                "--jobs", "2"]) == 2
 
 
 def test_no_cache_builds_no_cache_rows(small_corpus, tmp_path, monkeypatch):
@@ -272,7 +271,7 @@ def test_corrupt_cache_rebuilt(small_corpus, tmp_path, capsys):
     assert data_files(cold) == data_files(warm)
 
 
-def test_pipeline_determinism_under_shuffle_and_jobs(tmp_path):
+def test_pipeline_determinism_under_shuffle(tmp_path):
     rng = random.Random(77)
     records = []
     from conftest import random_records
@@ -286,12 +285,11 @@ def test_pipeline_determinism_under_shuffle_and_jobs(tmp_path):
     write_corpus(shuf, shuffled)
 
     outs = []
-    for i, (src, jobs) in enumerate([(base, 1), (base, 2), (shuf, 1), (shuf, 3)]):
+    for i, src in enumerate([base, base, shuf]):
         out = tmp_path / f"run{i}"
-        assert run(["indicators", str(src), "-o", str(out), "--no-cache",
-                    "--jobs", str(jobs)]) == 0
+        assert run(["indicators", str(src), "-o", str(out), "--no-cache"]) == 0
         outs.append(data_files(out))
-    assert outs[0] == outs[1] == outs[2] == outs[3]
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_version_flag(capsys):
@@ -368,6 +366,23 @@ def test_non_utf8_scenario_config_exit_one(tmp_path, capsys):
     assert run(["synth", "--config", str(config), "-o", str(tmp_path / "c.jsonl"),
                 "--truth", str(tmp_path / "t.jsonl")]) == 1
     assert capsys.readouterr().err == f"careertrace: error: {config}: not valid UTF-8\n"
+
+
+def test_deeply_nested_scheme_file_exit_one(small_corpus, tmp_path, capsys):
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text("[" * 100_000, encoding="utf-8")
+    assert run(["validate", str(small_corpus), "--scheme", str(scheme_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"careertrace: error: {scheme_path}: not valid JSON (nesting too deep)\n")
+
+
+def test_deeply_nested_scenario_config_exit_one(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text("[" * 100_000, encoding="utf-8")
+    assert run(["synth", "--config", str(config), "-o", str(tmp_path / "c.jsonl"),
+                "--truth", str(tmp_path / "t.jsonl")]) == 1
+    assert capsys.readouterr().err == (
+        f"careertrace: error: {config}: scenario config is not valid JSON (nesting too deep)\n")
 
 
 def test_manifest_rerun_identical_except_timestamp(small_corpus, tmp_path):

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from careertrace import RegionScheme, default_scheme, load_corpus, parse_corpus, regionalize
 from careertrace.corpus import (
+    RegionScheme,
     _load_line,
     _Pools,
+    default_scheme,
     is_country_code,
     iter_diagnostics,
+    load_corpus,
     open_corpus,
+    parse_corpus,
+    regionalize,
 )
 from careertrace.errors import (
     DuplicatePubId,
@@ -190,6 +194,28 @@ def test_non_utf8_line_is_a_line_diagnostic(scheme, tmp_path):
             "line 2: not valid UTF-8",
             "line 3: not valid UTF-8",
         ]
+
+
+def test_load_corpus_names_the_bad_line(scheme, tmp_path):
+    body = [line.encode() for line in lines(*[rec(f"p{i}", 2005, [("a1", ["CHN"])]) for i in range(60)])]
+    cases = [
+        (b"{broken", "line 41: invalid JSON (Expecting property name enclosed in double quotes)"),
+        (b"\xff\xfe", "line 41: not valid UTF-8"),
+    ]
+    for bad, message in cases:
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\n".join(body[:40] + [bad] + body[40:]) + b"\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_corpus(path, scheme)
+        assert exc.value.line_no == 41
+        assert str(exc.value) == message
+
+
+def test_load_corpus_empty_file(scheme, tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("", encoding="utf-8")
+    corpus = load_corpus(path, scheme)
+    assert len(corpus.records) == 0
 
 
 def test_line_number_in_diagnostics(scheme):

@@ -1,81 +1,19 @@
-"""Edge-path coverage: parallel parse fallbacks, CLI flag plumbing, report
-on partial inputs, infinity formatting."""
+"""Edge-path coverage: CLI flag plumbing, report on partial inputs,
+infinity formatting."""
 
-import json
 import math
 import random
 from pathlib import Path
 
-import pytest
-
-from careertrace import parse_corpus
-from careertrace.cli import load_corpus_parallel, run
-from careertrace.errors import DuplicatePubId, MalformedLine, YearOutOfWindow
+from careertrace.cli import run
+from careertrace.corpus import parse_corpus
 from careertrace.indicators import nearest_rank_90th
 
-from conftest import lines, random_records, rec
+from conftest import lines, rec
 
 
 def write_corpus(path: Path, records):
     path.write_text("\n".join(lines(*records)) + "\n", encoding="utf-8")
-
-
-def test_parallel_parse_matches_serial(scheme, tmp_path):
-    records = random_records(random.Random(3), 200)
-    path = tmp_path / "c.jsonl"
-    write_corpus(path, records)
-    serial = load_corpus_parallel(path, scheme, None, jobs=1)
-    for jobs in (2, 3, 7):
-        parallel = load_corpus_parallel(path, scheme, None, jobs=jobs)
-        assert "\n".join(parallel.dump_lines()) == "\n".join(serial.dump_lines())
-        assert parallel.window == serial.window
-
-
-def test_parallel_parse_bad_line_reports_exact_line(scheme, tmp_path):
-    records = [rec(f"p{i}", 2005, [("a1", ["CHN"])]) for i in range(60)]
-    body = lines(*records)
-    body.insert(40, "{broken")
-    path = tmp_path / "bad.jsonl"
-    path.write_text("\n".join(body) + "\n", encoding="utf-8")
-    with pytest.raises(MalformedLine) as exc:
-        load_corpus_parallel(path, scheme, None, jobs=3)
-    assert exc.value.line_no == 41  # serial fallback recovers the global line number
-
-
-def test_parallel_parse_duplicate_across_chunks(scheme, tmp_path):
-    records = [rec(f"p{i}", 2005, [("a1", ["CHN"])]) for i in range(50)]
-    dup = rec("p0", 2006, [("a1", ["CHN"])])
-    path = tmp_path / "dup.jsonl"
-    write_corpus(path, records + [dup])
-    with pytest.raises(DuplicatePubId) as exc:
-        load_corpus_parallel(path, scheme, None, jobs=4)
-    assert exc.value.line_no == 51  # the serial re-parse names the repeated line
-    assert str(exc.value) == "duplicate pub_id 'p0' (line 51)"
-
-
-def test_parallel_parse_non_utf8_reports_exact_line(scheme, tmp_path):
-    body = [line.encode() for line in lines(*[rec(f"p{i}", 2005, [("a1", ["CHN"])]) for i in range(60)])]
-    body.insert(40, b"\xff\xfe")
-    path = tmp_path / "bytes.jsonl"
-    path.write_bytes(b"\n".join(body) + b"\n")
-    with pytest.raises(MalformedLine) as exc:
-        load_corpus_parallel(path, scheme, None, jobs=3)
-    assert str(exc.value) == "line 41: not valid UTF-8"
-
-
-def test_parallel_parse_window_enforced(scheme, tmp_path):
-    records = [rec("p0", 1980, [("a1", ["CHN"])]), rec("p1", 2005, [("a1", ["CHN"])])]
-    path = tmp_path / "w.jsonl"
-    write_corpus(path, records)
-    with pytest.raises(YearOutOfWindow):
-        load_corpus_parallel(path, scheme, (2000, 2017), jobs=2)
-
-
-def test_parallel_parse_empty_file(scheme, tmp_path):
-    path = tmp_path / "e.jsonl"
-    path.write_text("", encoding="utf-8")
-    corpus = load_corpus_parallel(path, scheme, None, jobs=4)
-    assert len(corpus.records) == 0
 
 
 def test_unicode_survives_round_trip(scheme):

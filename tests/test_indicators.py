@@ -3,23 +3,20 @@ import random
 
 import pytest
 
-from careertrace import (
-    build_timelines,
-    citation_baselines,
-    classify,
-    detect_moves,
-    fwci,
-    intl_copub,
-    regionalize,
-    top10_flags,
-)
+from careertrace.corpus import regionalize
 from careertrace.errors import EmptyReference, MissingCohort
 from careertrace.indicators import (
     CitationBaselines,
     IndicatorEngine,
     StateIndex,
+    citation_baselines,
+    fwci,
+    intl_copub,
     nearest_rank_90th,
+    top10_flags,
 )
+from careertrace.mobility import classify, detect_moves
+from careertrace.timeline import build_timelines
 from conftest import corpus_of, lines, random_records, rec
 from equivalence import compare_pipeline_to_oracle, oracle_record_weights
 
@@ -371,7 +368,7 @@ def test_engine_matches_oracle_on_random_corpus(scheme):
 
 def test_symmetric_generator_direction_shares_balance(scheme):
     """With equal propensities the two direction shares agree statistically."""
-    from careertrace import ScenarioConfig, generate
+    from careertrace.synth import ScenarioConfig, generate
 
     diffs = []
     for seed in range(20):

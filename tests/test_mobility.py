@@ -2,15 +2,18 @@ import random
 
 import pytest
 
-from careertrace import build_timelines, class_of_publication, classify, detect_moves
 from careertrace.errors import HomeMismatch, NoStateForYear
+from careertrace.indicators import StateIndex
 from careertrace.mobility import (
     MobilityClass,
+    classify,
+    detect_moves,
     domestic,
     overseas,
     returnee_abroad,
     returnee_resident,
 )
+from careertrace.timeline import build_timelines
 
 from conftest import corpus_of, rec
 
@@ -159,13 +162,13 @@ def test_class_of_publication_attribution(scheme):
     ]
     corpus = corpus_of(*records)
     tl = build_timelines(corpus)["a1"]
-    states = classify(tl, detect_moves(tl), "CHN", scheme)
+    index = StateIndex({"a1": classify(tl, detect_moves(tl), "CHN", scheme)})
     by_id = {r.pub_id: r for r in corpus.records}
-    assert class_of_publication(by_id["p3"], "a1", states) == returnee_resident("CHN", "USA")
-    assert class_of_publication(by_id["p4"], "a1", states) == returnee_resident("CHN", "USA")
-    assert class_of_publication(by_id["p1"], "a1", states) == domestic("CHN")
+    assert index.class_at("a1", by_id["p3"].year) == returnee_resident("CHN", "USA")
+    assert index.class_at("a1", by_id["p4"].year) == returnee_resident("CHN", "USA")
+    assert index.class_at("a1", by_id["p1"].year) == domestic("CHN")
     with pytest.raises(NoStateForYear):
-        class_of_publication(rec_to_record(scheme, 2099), "a1", states)
+        index.class_at("a1", rec_to_record(scheme, 2099).year)
 
 
 def rec_to_record(scheme, year):
@@ -175,9 +178,9 @@ def rec_to_record(scheme, year):
 
 def test_returnee_abroad_publication_not_returnee_output(scheme):
     tl, corpus = timeline_for(scheme, (2005, "DEU"), (2008, "CHN"), (2012, "DEU"))
-    states = classify(tl, detect_moves(tl), "CHN", scheme)
+    index = StateIndex({"a1": classify(tl, detect_moves(tl), "CHN", scheme)})
     by_year = {r.year: r for r in corpus.records}
-    assert class_of_publication(by_year[2012], "a1", states) == returnee_abroad("CHN", "EU28")
+    assert index.class_at("a1", by_year[2012].year) == returnee_abroad("CHN", "EU28")
 
 
 def test_class_key_round_trip():

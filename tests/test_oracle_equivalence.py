@@ -1,7 +1,7 @@
 import json
 import random
 
-from careertrace import ScenarioConfig, generate
+from careertrace.synth import ScenarioConfig, generate
 
 from conftest import random_records
 from equivalence import compare_pipeline_to_oracle

@@ -2,17 +2,20 @@ import math
 
 import pytest
 
-from careertrace import (
+from careertrace.errors import BeforeCareer, UndefinedRatio
+from careertrace.mobility import classify, detect_moves
+from careertrace.stocks import (
+    ACTIVE,
+    GAP_FILLED,
+    RETIRED,
+    StockCell,
     activity_status,
     build_statuses,
-    build_timelines,
-    classify,
-    detect_moves,
     return_ratio,
+    stock_lookup,
     stock_table,
 )
-from careertrace.errors import BeforeCareer, UndefinedRatio
-from careertrace.stocks import ACTIVE, GAP_FILLED, RETIRED, StockCell, stock_lookup
+from careertrace.timeline import build_timelines
 
 from conftest import corpus_of, rec
 

@@ -1,17 +1,10 @@
 import pytest
 
-from careertrace import (
-    GroundTruth,
-    ScenarioConfig,
-    build_timelines,
-    classify,
-    degrade,
-    detect_moves,
-    generate,
-    parse_corpus,
-)
+from careertrace.corpus import parse_corpus
 from careertrace.errors import InvalidConfig
-from careertrace.synth import validate_config
+from careertrace.mobility import classify, detect_moves
+from careertrace.synth import GroundTruth, ScenarioConfig, degrade, generate, validate_config
+from careertrace.timeline import build_timelines
 
 
 def noise_free(seed=0, n_authors=150, years=(2000, 2011)):

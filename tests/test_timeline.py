@@ -2,7 +2,8 @@ import itertools
 import json
 import random
 
-from careertrace import build_timelines, dominant_region, parse_corpus
+from careertrace.corpus import parse_corpus
+from careertrace.timeline import build_timelines, dominant_region
 
 from conftest import corpus_of, random_records, rec
 
