@@ -196,21 +196,6 @@ def test_non_utf8_line_is_a_line_diagnostic(scheme, tmp_path):
         ]
 
 
-def test_load_corpus_names_the_bad_line(scheme, tmp_path):
-    body = [line.encode() for line in lines(*[rec(f"p{i}", 2005, [("a1", ["CHN"])]) for i in range(60)])]
-    cases = [
-        (b"{broken", "line 41: invalid JSON (Expecting property name enclosed in double quotes)"),
-        (b"\xff\xfe", "line 41: not valid UTF-8"),
-    ]
-    for bad, message in cases:
-        path = tmp_path / "bad.jsonl"
-        path.write_bytes(b"\n".join(body[:40] + [bad] + body[40:]) + b"\n")
-        with pytest.raises(MalformedLine) as exc:
-            load_corpus(path, scheme)
-        assert exc.value.line_no == 41
-        assert str(exc.value) == message
-
-
 def test_load_corpus_empty_file(scheme, tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")

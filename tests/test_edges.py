@@ -1,12 +1,15 @@
-"""Edge-path coverage: CLI flag plumbing, report on partial inputs,
-infinity formatting."""
+"""Edge-path coverage: file-loader diagnostics, CLI flag plumbing, report on
+partial inputs, infinity formatting."""
 
 import math
 import random
 from pathlib import Path
 
+import pytest
+
 from careertrace.cli import run
-from careertrace.corpus import parse_corpus
+from careertrace.corpus import load_corpus, parse_corpus
+from careertrace.errors import MalformedLine, YearOutOfWindow
 from careertrace.indicators import nearest_rank_90th
 
 from conftest import lines, rec
@@ -14,6 +17,39 @@ from conftest import lines, rec
 
 def write_corpus(path: Path, records):
     path.write_text("\n".join(lines(*records)) + "\n", encoding="utf-8")
+
+
+def test_parallel_parse_bad_line_reports_exact_line(scheme, tmp_path):
+    records = [rec(f"p{i}", 2005, [("a1", ["CHN"])]) for i in range(60)]
+    body = lines(*records)
+    body.insert(40, "{broken")
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(body) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_corpus(path, scheme)
+    assert exc.value.line_no == 41
+    assert str(exc.value) == (
+        "line 41: invalid JSON (Expecting property name enclosed in double quotes)"
+    )
+
+
+def test_parallel_parse_non_utf8_reports_exact_line(scheme, tmp_path):
+    body = [line.encode() for line in lines(*[rec(f"p{i}", 2005, [("a1", ["CHN"])]) for i in range(60)])]
+    body.insert(40, b"\xff\xfe")
+    path = tmp_path / "bytes.jsonl"
+    path.write_bytes(b"\n".join(body) + b"\n")
+    with pytest.raises(MalformedLine) as exc:
+        load_corpus(path, scheme)
+    assert exc.value.line_no == 41
+    assert str(exc.value) == "line 41: not valid UTF-8"
+
+
+def test_parallel_parse_window_enforced(scheme, tmp_path):
+    records = [rec("p0", 1980, [("a1", ["CHN"])]), rec("p1", 2005, [("a1", ["CHN"])])]
+    path = tmp_path / "w.jsonl"
+    write_corpus(path, records)
+    with pytest.raises(YearOutOfWindow):
+        load_corpus(path, scheme, (2000, 2017))
 
 
 def test_unicode_survives_round_trip(scheme):
