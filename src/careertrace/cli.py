@@ -14,26 +14,34 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
-import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .corpus import (
-    Corpus,
-    RegionScheme,
-    default_scheme_path,
-    iter_diagnostics,
-    load_corpus,
-    load_scheme,
-    open_corpus,
-)
+from .corpus import default_scheme_path, iter_diagnostics, load_scheme, open_corpus
 from .errors import CareerTraceError, InvalidConfig, UndefinedRatio
-from .indicators import IndicatorEngine, IndicatorRow
-from .mobility import MobilityClass, MobilityState, MoveEvent, classify, detect_moves
+from .indicators import IndicatorEngine
+from .pipeline import (
+    ALL_METRICS,
+    INDICATOR_HEADER,
+    MOVE_HEADER,
+    STATE_HEADER,
+    STOCK_HEADER,
+    TIMELINE_HEADER,
+    Cache,
+    Pipeline,
+    RunConfig,
+    indicator_rows_to_table,
+    load_run_config,
+    moves_to_rows,
+    read_config_text,
+    sha256_file,
+    states_to_rows,
+    stocks_to_rows,
+    timelines_to_rows,
+)
 from .report import (
     line_chart,
     read_table,
@@ -41,86 +49,8 @@ from .report import (
     stacked_bar_chart,
     write_table,
 )
-from .stocks import (
-    DEFAULT_GRACE_YEARS,
-    StockCell,
-    build_statuses,
-    return_ratio,
-    stock_lookup,
-    stock_table,
-)
+from .stocks import return_ratio, stock_lookup
 from .synth import ScenarioConfig, degrade, generate
-from .timeline import CareerTimeline, YearPosition, build_timelines
-
-ALL_METRICS = ("pp10", "shares", "intl", "class_intl", "direction", "stocks", "ratio")
-
-
-@dataclass
-class RunConfig:
-    """Effective run configuration; file values are overridden by flags."""
-
-    home: str = "CHN"
-    end_year: int | None = None
-    grace_years: int = DEFAULT_GRACE_YEARS
-    host_attribution: str = "latest"
-    tie_rule: str = "hysteresis"
-    intl_requires_distinct_authors: bool = False
-    metrics: tuple[str, ...] = ALL_METRICS
-    year_min: int | None = None
-    year_max: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "home": self.home,
-            "end_year": self.end_year,
-            "grace_years": self.grace_years,
-            "host_attribution": self.host_attribution,
-            "tie_rule": self.tie_rule,
-            "intl_requires_distinct_authors": self.intl_requires_distinct_authors,
-            "metrics": list(self.metrics),
-            "year_min": self.year_min,
-            "year_max": self.year_max,
-        }
-
-
-_BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _read_config_text(path: str | Path) -> str:
-    """Text of a configuration file; bytes that are not UTF-8 are a config error."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise InvalidConfig(f"{path}: not valid UTF-8") from None
-
-
-def load_run_config(path: str | Path) -> dict:
-    """Parse the flat ``key = value`` run-configuration file."""
-    values: dict = {}
-    for line_no, raw in enumerate(_read_config_text(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidConfig(f"{path}:{line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in ("end_year", "grace_years", "year_min", "year_max"):
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise InvalidConfig(f"{path}:{line_no}: {key} must be an integer") from None
-        elif key == "intl_requires_distinct_authors":
-            if value.lower() not in _BOOL_VALUES:
-                raise InvalidConfig(f"{path}:{line_no}: {key} must be true/false")
-            values[key] = _BOOL_VALUES[value.lower()]
-        elif key == "metrics":
-            values[key] = tuple(m.strip() for m in value.split(",") if m.strip())
-        elif key in ("home", "host_attribution", "tie_rule"):
-            values[key] = value
-        else:
-            raise InvalidConfig(f"{path}:{line_no}: unknown key {key!r}")
-    return values
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -146,15 +76,11 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         raise InvalidConfig("tie_rule must be 'hysteresis' or 'label_order'")
     if cfg.grace_years < 0:
         raise InvalidConfig("grace_years must be >= 0")
+    if (cfg.year_min is None) != (cfg.year_max is None):
+        raise InvalidConfig("year_min and year_max must be set together")
+    if cfg.window is not None and cfg.year_min > cfg.year_max:
+        raise InvalidConfig(f"year_min {cfg.year_min} is after year_max {cfg.year_max}")
     return cfg
-
-
-def sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
 
 
 def utc_now() -> str:
@@ -178,279 +104,6 @@ def write_manifest(
         "timestamp": utc_now(),
     }
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-class Cache:
-    """Content-addressed table cache; corrupted entries are rebuilt, never trusted."""
-
-    def __init__(self, root: Path, enabled: bool):
-        self.root = root
-        self.enabled = enabled
-
-    def _paths(self, key: str) -> tuple[Path, Path]:
-        return self.root / f"{key}.csv", self.root / f"{key}.csv.sha256"
-
-    @staticmethod
-    def key(stage: str, parts: list[str]) -> str:
-        return hashlib.sha256("|".join([stage] + parts).encode()).hexdigest()[:40]
-
-    def load(self, key: str) -> list[list[str]] | None:
-        if not self.enabled:
-            return None
-        data_path, digest_path = self._paths(key)
-        if not data_path.exists() or not digest_path.exists():
-            return None
-        try:
-            blob = data_path.read_bytes()
-            expect = digest_path.read_text(encoding="utf-8").strip()
-            if hashlib.sha256(blob).hexdigest() != expect:
-                raise ValueError("digest mismatch")
-            header, rows = read_table(data_path)
-            if not header:
-                raise ValueError("empty cache table")
-            return rows
-        except Exception as exc:  # noqa: BLE001 - any corruption means rebuild
-            print(f"careertrace: warning: discarding corrupt cache entry {data_path.name}: {exc}",
-                  file=sys.stderr)
-            for p in self._paths(key):
-                try:
-                    p.unlink()
-                except OSError:
-                    pass
-            return None
-
-    def store(self, key: str, header: list[str], rows: list[list[str]]) -> None:
-        if not self.enabled:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        data_path, digest_path = self._paths(key)
-        write_table(data_path, header, rows)
-        digest_path.write_text(hashlib.sha256(data_path.read_bytes()).hexdigest() + "\n",
-                               encoding="utf-8")
-
-
-_TIMELINE_HEADER = ["author_id", "year", "source_pub", "dominant", "weights", "origin_ambiguous"]
-_STATE_HEADER = ["author_id", "year", "class", "since_year"]
-_MOVE_HEADER = ["author_id", "from", "to", "year"]
-_STOCK_HEADER = ["class", "year", "preceding", "new_movement", "total"]
-_INDICATOR_HEADER = ["population", "year", "metric", "counting", "value"]
-
-
-def _format_weights(weights: dict[str, float], scheme: RegionScheme) -> str:
-    return "|".join(f"{r}:{weights[r]!r}" for r in sorted(weights, key=scheme.rank))
-
-
-def _parse_weights(text: str) -> dict[str, float]:
-    out = {}
-    for part in text.split("|"):
-        region, _, value = part.partition(":")
-        out[region] = float(value)
-    return out
-
-
-def timelines_to_rows(
-    timelines: dict[str, CareerTimeline], scheme: RegionScheme
-) -> list[list[str]]:
-    rows = []
-    for author_id in sorted(timelines):
-        tl = timelines[author_id]
-        for pos in tl.positions:
-            rows.append(
-                [
-                    author_id,
-                    str(pos.year),
-                    pos.source_pub,
-                    pos.dominant,
-                    _format_weights(pos.weights, scheme),
-                    "1" if tl.origin_ambiguous else "0",
-                ]
-            )
-    return rows
-
-
-def rows_to_timelines(rows: list[list[str]]) -> dict[str, CareerTimeline]:
-    grouped: dict[str, list[list[str]]] = {}
-    for row in rows:
-        grouped.setdefault(row[0], []).append(row)
-    out: dict[str, CareerTimeline] = {}
-    for author_id, author_rows in grouped.items():
-        author_rows.sort(key=lambda r: int(r[1]))
-        positions = [
-            YearPosition(
-                year=int(r[1]),
-                weights=_parse_weights(r[4]),
-                source_pub=r[2],
-                dominant=r[3],
-            )
-            for r in author_rows
-        ]
-        out[author_id] = CareerTimeline(
-            author_id=author_id,
-            positions=positions,
-            origin_region=positions[0].dominant,
-            first_year=positions[0].year,
-            last_year=positions[-1].year,
-            origin_ambiguous=author_rows[0][5] == "1",
-        )
-    return out
-
-
-def states_to_rows(states: dict[str, list[MobilityState]]) -> list[list[str]]:
-    rows = []
-    for author_id in sorted(states):
-        for st in states[author_id]:
-            rows.append([author_id, str(st.year), st.klass.key(), str(st.since_year)])
-    return rows
-
-
-def rows_to_states(rows: list[list[str]]) -> dict[str, list[MobilityState]]:
-    out: dict[str, list[MobilityState]] = {}
-    for row in rows:
-        out.setdefault(row[0], []).append(
-            MobilityState(
-                author_id=row[0],
-                year=int(row[1]),
-                klass=MobilityClass.parse_key(row[2]),
-                since_year=int(row[3]),
-            )
-        )
-    for sts in out.values():
-        sts.sort(key=lambda s: s.year)
-    return out
-
-
-class Pipeline:
-    """Shared corpus -> timelines -> moves -> states staging with caching."""
-
-    def __init__(
-        self,
-        corpus_path: Path,
-        scheme_path: Path,
-        cfg: RunConfig,
-        cache: Cache,
-    ):
-        self.corpus_path = corpus_path
-        self.scheme_path = scheme_path
-        self.cfg = cfg
-        self.cache = cache
-        self.scheme = load_scheme(scheme_path)
-        self.corpus_hash = sha256_file(corpus_path)
-        self.scheme_hash = sha256_file(scheme_path)
-        self.stages: list[dict] = []
-        self._corpus: Corpus | None = None
-        self._timelines: dict[str, CareerTimeline] | None = None
-        self._moves: dict[str, list[MoveEvent]] | None = None
-        self._states: dict[str, list[MobilityState]] | None = None
-
-    def _window(self) -> tuple[int, int] | None:
-        if self.cfg.year_min is not None and self.cfg.year_max is not None:
-            return (self.cfg.year_min, self.cfg.year_max)
-        return None
-
-    def _stage(self, name: str, cache_state: str) -> None:
-        self.stages.append({"stage": name, "cache": cache_state})
-
-    def _built(self, name: str, key: str, header: list[str], rows) -> None:
-        """Record a built stage; ``rows()`` serializes it, only for an enabled cache."""
-        if self.cache.enabled:
-            self.cache.store(key, header, rows())
-            self._stage(name, "miss")
-        else:
-            self._stage(name, "off")
-
-    def corpus(self) -> Corpus:
-        if self._corpus is None:
-            self._corpus = load_corpus(self.corpus_path, self.scheme, self._window())
-            self._stage("parse", "off")
-        return self._corpus
-
-    def _key(self, stage: str, extra: list[str] | None = None) -> str:
-        parts = [__version__, self.corpus_hash, self.scheme_hash,
-                 json.dumps(self.cfg.as_dict(), sort_keys=True)]
-        return Cache.key(stage, parts + (extra or []))
-
-    def timelines(self) -> dict[str, CareerTimeline]:
-        if self._timelines is not None:
-            return self._timelines
-        key = self._key("timelines")
-        cached = self.cache.load(key)
-        if cached is not None:
-            self._timelines = rows_to_timelines(cached)
-            self._stage("timelines", "hit")
-        else:
-            self._timelines = build_timelines(self.corpus(), self.cfg.tie_rule)
-            self._built("timelines", key, _TIMELINE_HEADER,
-                        lambda: timelines_to_rows(self._timelines, self.scheme))
-        return self._timelines
-
-    def moves(self) -> dict[str, list[MoveEvent]]:
-        if self._moves is not None:
-            return self._moves
-        key = self._key("moves")
-        cached = self.cache.load(key)
-        if cached is not None:
-            moves: dict[str, list[MoveEvent]] = {}
-            for author_id, frm, to, year in cached:
-                moves.setdefault(author_id, []).append(
-                    MoveEvent(author_id=author_id, from_region=frm, to_region=to, year=int(year))
-                )
-            self._moves = moves
-            self._stage("moves", "hit")
-        else:
-            self._moves = {a: detect_moves(tl) for a, tl in self.timelines().items()}
-            self._built("moves", key, _MOVE_HEADER, lambda: [
-                [a, m.from_region, m.to_region, str(m.year)]
-                for a in sorted(self._moves)
-                for m in self._moves[a]
-            ])
-        return self._moves
-
-    def states(self) -> dict[str, list[MobilityState]]:
-        if self._states is not None:
-            return self._states
-        key = self._key("states")
-        cached = self.cache.load(key)
-        if cached is not None:
-            self._states = rows_to_states(cached)
-            self._stage("states", "hit")
-        else:
-            timelines = self.timelines()
-            moves = self.moves()
-            self._states = {
-                a: classify(tl, moves.get(a, []), self.cfg.home, self.scheme,
-                            self.cfg.host_attribution)
-                for a, tl in timelines.items()
-            }
-            self._built("states", key, _STATE_HEADER, lambda: states_to_rows(self._states))
-        return self._states
-
-    def stock_cells(self) -> list[StockCell]:
-        key = self._key("stocks")
-        cached = self.cache.load(key)
-        if cached is not None:
-            self._stage("stocks", "hit")
-            return [StockCell(r[0], int(r[1]), int(r[2]), int(r[3])) for r in cached]
-        corpus = self.corpus()
-        end_year = self.cfg.end_year if self.cfg.end_year is not None else corpus.window[1]
-        year_range = (corpus.window[0], end_year)
-        statuses = build_statuses(self.timelines(), year_range, grace=self.cfg.grace_years)
-        cells = stock_table(self.states(), statuses, year_range)
-        self._built("stocks", key, _STOCK_HEADER[:4], lambda: [
-            [c.class_key, str(c.year), str(c.preceding), str(c.new_movement)] for c in cells
-        ])
-        return cells
-
-    def inputs(self) -> dict[str, str]:
-        return {
-            "corpus": str(self.corpus_path),
-            "corpus_sha256": self.corpus_hash,
-            "scheme": str(self.scheme_path),
-            "scheme_sha256": self.scheme_hash,
-        }
-
-
-def _indicator_rows_to_table(rows: list[IndicatorRow]) -> list[list[object]]:
-    return [[r.population, r.year, r.metric, r.counting, r.value] for r in rows]
 
 
 def _add_common(parser: argparse.ArgumentParser, output: str | None = None) -> None:
@@ -531,19 +184,19 @@ def _scheme_path(args: argparse.Namespace) -> Path:
     return Path(args.scheme) if getattr(args, "scheme", None) else default_scheme_path()
 
 
-def _make_pipeline(args: argparse.Namespace, cfg: RunConfig) -> Pipeline:
+def _make_pipeline(args: argparse.Namespace) -> Pipeline:
+    cfg = build_run_config(args)
     cache_root = Path(args.cache_dir) if args.cache_dir else Path.home() / ".cache" / "careertrace"
-    cache = Cache(cache_root, enabled=not args.no_cache)
+    cache = None if args.no_cache else Cache(cache_root)
     return Pipeline(Path(args.corpus), _scheme_path(args), cfg, cache)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     scheme = load_scheme(_scheme_path(args))
-    window = (cfg.year_min, cfg.year_max) if cfg.year_min is not None and cfg.year_max is not None else None
     problems = 0
     with open_corpus(args.corpus) as fh:
-        for diag in iter_diagnostics(fh, scheme, window):
+        for diag in iter_diagnostics(fh, scheme, cfg.window):
             print(f"careertrace: {args.corpus}: {diag}", file=sys.stderr)
             problems += 1
     if problems:
@@ -553,29 +206,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_timelines(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
-    pipe = _make_pipeline(args, cfg)
+    pipe = _make_pipeline(args)
     rows = timelines_to_rows(pipe.timelines(), pipe.scheme)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_table(out, _TIMELINE_HEADER, rows)
+    write_table(out, TIMELINE_HEADER, rows)
     write_manifest(out.with_name(out.name + ".manifest.json"), "timelines",
-                   cfg.as_dict(), pipe.inputs(), pipe.stages)
+                   pipe.cfg.as_dict(), pipe.inputs(), pipe.stages)
     return 0
 
 
 def cmd_moves(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
-    pipe = _make_pipeline(args, cfg)
+    pipe = _make_pipeline(args)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    moves = pipe.moves()
-    move_rows = []
-    for author_id in sorted(moves):
-        for mv in moves[author_id]:
-            move_rows.append([author_id, mv.from_region, mv.to_region, str(mv.year)])
-    write_table(out_dir / "moves.csv", _MOVE_HEADER, move_rows)
-    write_table(out_dir / "states.csv", _STATE_HEADER, states_to_rows(pipe.states()))
+    write_table(out_dir / "moves.csv", MOVE_HEADER, moves_to_rows(pipe.moves()))
+    write_table(out_dir / "states.csv", STATE_HEADER, states_to_rows(pipe.states()))
     # classes follow move patterns only; the origin table lets consumers
     # break any population down by where a career started
     timelines = pipe.timelines()
@@ -584,39 +230,33 @@ def cmd_moves(args: argparse.Namespace) -> int:
         for a in sorted(timelines)
     ]
     write_table(out_dir / "origins.csv", ["author_id", "origin", "origin_ambiguous"], origin_rows)
-    write_manifest(out_dir / "manifest.json", "moves", cfg.as_dict(), pipe.inputs(), pipe.stages)
+    write_manifest(out_dir / "manifest.json", "moves",
+                   pipe.cfg.as_dict(), pipe.inputs(), pipe.stages)
     return 0
 
 
 def cmd_stocks(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
-    pipe = _make_pipeline(args, cfg)
+    pipe = _make_pipeline(args)
     cells = pipe.stock_cells()
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_table(
-        out,
-        _STOCK_HEADER,
-        [[c.class_key, c.year, c.preceding, c.new_movement, c.total] for c in cells],
-    )
+    write_table(out, STOCK_HEADER, stocks_to_rows(cells))
     write_manifest(out.with_name(out.name + ".manifest.json"), "stocks",
-                   cfg.as_dict(), pipe.inputs(), pipe.stages)
+                   pipe.cfg.as_dict(), pipe.inputs(), pipe.stages)
     return 0
 
 
 def cmd_indicators(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
-    pipe = _make_pipeline(args, cfg)
+    pipe = _make_pipeline(args)
+    cfg = pipe.cfg
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     want = set(cfg.metrics)
-    engine: IndicatorEngine | None = None
     if want & {"pp10", "shares", "intl", "class_intl", "direction"}:
         engine = IndicatorEngine(
             pipe.corpus(), pipe.states(), cfg.home, cfg.intl_requires_distinct_authors
         )
         pipe.stages.append({"stage": "indicators", "cache": "off"})
-    if engine is not None:
         for metric, rows in (
             ("pp10", engine.pp10_rows()),
             ("shares", engine.share_rows()),
@@ -625,16 +265,12 @@ def cmd_indicators(args: argparse.Namespace) -> int:
             ("direction", engine.direction_rows()),
         ):
             if metric in want:
-                write_table(out_dir / f"{metric}.csv", _INDICATOR_HEADER,
-                            _indicator_rows_to_table(rows))
+                write_table(out_dir / f"{metric}.csv", INDICATOR_HEADER,
+                            indicator_rows_to_table(rows))
     if want & {"stocks", "ratio"}:
         cells = pipe.stock_cells()
         if "stocks" in want:
-            write_table(
-                out_dir / "stocks.csv",
-                _STOCK_HEADER,
-                [[c.class_key, c.year, c.preceding, c.new_movement, c.total] for c in cells],
-            )
+            write_table(out_dir / "stocks.csv", STOCK_HEADER, stocks_to_rows(cells))
         if "ratio" in want:
             lookup = stock_lookup(cells)
             ratio_rows = []
@@ -646,14 +282,14 @@ def cmd_indicators(args: argparse.Namespace) -> int:
                     except UndefinedRatio:
                         continue
                     ratio_rows.append([host, year, "overseas_returnee_ratio", "full", value])
-            write_table(out_dir / "ratio.csv", _INDICATOR_HEADER, ratio_rows)
+            write_table(out_dir / "ratio.csv", INDICATOR_HEADER, ratio_rows)
     write_manifest(out_dir / "manifest.json", "indicators", cfg.as_dict(), pipe.inputs(), pipe.stages)
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.config:
-        text = _read_config_text(args.config)
+        text = read_config_text(args.config)
         try:
             config = ScenarioConfig.from_json(text)
         except InvalidConfig as exc:
@@ -695,9 +331,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chart_indicator_file(path: Path, out_dir: Path) -> list[str]:
+def _chart_indicator_table(header: list[str], rows: list[list[str]], out_dir: Path) -> list[str]:
     """Line charts per (metric, counting) found in one indicator table."""
-    header, rows = read_table(path)
     if not header:
         return []
     written = []
@@ -729,8 +364,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         path = src / f"{name}.csv"
         if not path.exists():
             continue
-        charts.extend(_chart_indicator_file(path, out_dir))
         header, rows = read_table(path)
+        charts.extend(_chart_indicator_table(header, rows, out_dir))
         summary_parts.append(f"== {name} ==\n" + render_text_table(header, rows))
     stocks_path = src / "stocks.csv"
     if stocks_path.exists():

@@ -133,7 +133,7 @@ def load_scheme(path: str | Path) -> RegionScheme:
 
 def default_scheme() -> RegionScheme:
     """The packaged default scheme: CHN, USA, EU28 (2013-2020 membership), OTHER."""
-    return load_scheme(Path(__file__).parent / "data" / "default_scheme.json")
+    return load_scheme(default_scheme_path())
 
 
 def default_scheme_path() -> Path:

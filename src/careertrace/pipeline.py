@@ -1,0 +1,354 @@
+"""The staged corpus -> timelines -> moves -> states -> stocks pass behind the
+data commands, its run configuration and table cache, and each table's
+header and row codec, shared by the cache and the command outputs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from dataclasses import asdict, dataclass
+from pathlib import Path
+
+from . import __version__
+from .corpus import Corpus, RegionScheme, load_corpus, load_scheme
+from .errors import InvalidConfig
+from .indicators import IndicatorRow
+from .mobility import MobilityClass, MobilityState, MoveEvent, classify, detect_moves
+from .report import read_table, write_table
+from .stocks import DEFAULT_GRACE_YEARS, StockCell, build_statuses, stock_table
+from .timeline import CareerTimeline, YearPosition, build_timelines
+
+ALL_METRICS = ("pp10", "shares", "intl", "class_intl", "direction", "stocks", "ratio")
+
+
+@dataclass
+class RunConfig:
+    """Effective run configuration; file values are overridden by flags."""
+
+    home: str = "CHN"
+    end_year: int | None = None
+    grace_years: int = DEFAULT_GRACE_YEARS
+    host_attribution: str = "latest"
+    tie_rule: str = "hysteresis"
+    intl_requires_distinct_authors: bool = False
+    metrics: tuple[str, ...] = ALL_METRICS
+    year_min: int | None = None
+    year_max: int | None = None
+
+    @property
+    def window(self) -> tuple[int, int] | None:
+        """The configured year window, or None when it is left to the data."""
+        if self.year_min is not None and self.year_max is not None:
+            return (self.year_min, self.year_max)
+        return None
+
+    def as_dict(self) -> dict:
+        return {**asdict(self), "metrics": list(self.metrics)}
+
+
+_BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def read_config_text(path: str | Path) -> str:
+    """Text of a configuration file; bytes that are not UTF-8 are a config error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise InvalidConfig(f"{path}: not valid UTF-8") from None
+
+
+def load_run_config(path: str | Path) -> dict:
+    """Parse the flat ``key = value`` run-configuration file."""
+    values: dict = {}
+    for line_no, raw in enumerate(read_config_text(path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidConfig(f"{path}:{line_no}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in ("end_year", "grace_years", "year_min", "year_max"):
+            try:
+                values[key] = int(value)
+            except ValueError:
+                raise InvalidConfig(f"{path}:{line_no}: {key} must be an integer") from None
+        elif key == "intl_requires_distinct_authors":
+            if value.lower() not in _BOOL_VALUES:
+                raise InvalidConfig(f"{path}:{line_no}: {key} must be true/false")
+            values[key] = _BOOL_VALUES[value.lower()]
+        elif key == "metrics":
+            values[key] = tuple(m.strip() for m in value.split(",") if m.strip())
+        elif key in ("home", "host_attribution", "tie_rule"):
+            values[key] = value
+        else:
+            raise InvalidConfig(f"{path}:{line_no}: unknown key {key!r}")
+    return values
+
+
+def sha256_file(path: str | Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+class Cache:
+    """Content-addressed table cache; corrupted entries are rebuilt, never trusted."""
+
+    def __init__(self, root: Path):
+        self.root = root
+
+    def _paths(self, key: str) -> tuple[Path, Path]:
+        return self.root / f"{key}.csv", self.root / f"{key}.csv.sha256"
+
+    @staticmethod
+    def key(stage: str, parts: list[str]) -> str:
+        return hashlib.sha256("|".join([stage] + parts).encode()).hexdigest()[:40]
+
+    def load(self, key: str) -> list[list[str]] | None:
+        data_path, digest_path = self._paths(key)
+        if not data_path.exists() or not digest_path.exists():
+            return None
+        try:
+            blob = data_path.read_bytes()
+            expect = digest_path.read_text(encoding="utf-8").strip()
+            if hashlib.sha256(blob).hexdigest() != expect:
+                raise ValueError("digest mismatch")
+            header, rows = read_table(data_path)
+            if not header:
+                raise ValueError("empty cache table")
+            return rows
+        except Exception as exc:  # noqa: BLE001 - any corruption means rebuild
+            print(f"careertrace: warning: discarding corrupt cache entry {data_path.name}: {exc}",
+                  file=sys.stderr)
+            for p in self._paths(key):
+                try:
+                    p.unlink()
+                except OSError:
+                    pass
+            return None
+
+    def store(self, key: str, header: list[str], rows: list[list[str]]) -> None:
+        self.root.mkdir(parents=True, exist_ok=True)
+        data_path, digest_path = self._paths(key)
+        write_table(data_path, header, rows)
+        digest_path.write_text(hashlib.sha256(data_path.read_bytes()).hexdigest() + "\n",
+                               encoding="utf-8")
+
+
+TIMELINE_HEADER = ["author_id", "year", "source_pub", "dominant", "weights", "origin_ambiguous"]
+STATE_HEADER = ["author_id", "year", "class", "since_year"]
+MOVE_HEADER = ["author_id", "from", "to", "year"]
+STOCK_HEADER = ["class", "year", "preceding", "new_movement", "total"]
+INDICATOR_HEADER = ["population", "year", "metric", "counting", "value"]
+
+
+def _format_weights(weights: dict[str, float], scheme: RegionScheme) -> str:
+    return "|".join(f"{r}:{weights[r]!r}" for r in sorted(weights, key=scheme.rank))
+
+
+def _parse_weights(text: str) -> dict[str, float]:
+    out = {}
+    for part in text.split("|"):
+        region, _, value = part.partition(":")
+        out[region] = float(value)
+    return out
+
+
+def timelines_to_rows(
+    timelines: dict[str, CareerTimeline], scheme: RegionScheme
+) -> list[list[str]]:
+    rows = []
+    for author_id in sorted(timelines):
+        tl = timelines[author_id]
+        for pos in tl.positions:
+            rows.append(
+                [
+                    author_id,
+                    str(pos.year),
+                    pos.source_pub,
+                    pos.dominant,
+                    _format_weights(pos.weights, scheme),
+                    "1" if tl.origin_ambiguous else "0",
+                ]
+            )
+    return rows
+
+
+def rows_to_timelines(rows: list[list[str]]) -> dict[str, CareerTimeline]:
+    grouped: dict[str, list[list[str]]] = {}
+    for row in rows:
+        grouped.setdefault(row[0], []).append(row)
+    out: dict[str, CareerTimeline] = {}
+    for author_id, author_rows in grouped.items():
+        author_rows.sort(key=lambda r: int(r[1]))
+        positions = [
+            YearPosition(
+                year=int(r[1]),
+                weights=_parse_weights(r[4]),
+                source_pub=r[2],
+                dominant=r[3],
+            )
+            for r in author_rows
+        ]
+        out[author_id] = CareerTimeline(
+            author_id=author_id,
+            positions=positions,
+            origin_region=positions[0].dominant,
+            first_year=positions[0].year,
+            last_year=positions[-1].year,
+            origin_ambiguous=author_rows[0][5] == "1",
+        )
+    return out
+
+
+def moves_to_rows(moves: dict[str, list[MoveEvent]]) -> list[list[str]]:
+    return [
+        [author_id, mv.from_region, mv.to_region, str(mv.year)]
+        for author_id in sorted(moves)
+        for mv in moves[author_id]
+    ]
+
+
+def rows_to_moves(rows: list[list[str]]) -> dict[str, list[MoveEvent]]:
+    out: dict[str, list[MoveEvent]] = {}
+    for author_id, frm, to, year in rows:
+        out.setdefault(author_id, []).append(
+            MoveEvent(author_id=author_id, from_region=frm, to_region=to, year=int(year))
+        )
+    return out
+
+
+def states_to_rows(states: dict[str, list[MobilityState]]) -> list[list[str]]:
+    rows = []
+    for author_id in sorted(states):
+        for st in states[author_id]:
+            rows.append([author_id, str(st.year), st.klass.key(), str(st.since_year)])
+    return rows
+
+
+def rows_to_states(rows: list[list[str]]) -> dict[str, list[MobilityState]]:
+    out: dict[str, list[MobilityState]] = {}
+    for row in rows:
+        out.setdefault(row[0], []).append(
+            MobilityState(
+                author_id=row[0],
+                year=int(row[1]),
+                klass=MobilityClass.parse_key(row[2]),
+                since_year=int(row[3]),
+            )
+        )
+    for sts in out.values():
+        sts.sort(key=lambda s: s.year)
+    return out
+
+
+def stocks_to_rows(cells: list[StockCell]) -> list[list[object]]:
+    """Rows under ``STOCK_HEADER``; the cache keeps the first four columns."""
+    return [[c.class_key, c.year, c.preceding, c.new_movement, c.total] for c in cells]
+
+
+def indicator_rows_to_table(rows: list[IndicatorRow]) -> list[list[object]]:
+    return [[r.population, r.year, r.metric, r.counting, r.value] for r in rows]
+
+
+class Pipeline:
+    """Shared corpus -> timelines -> moves -> states -> stocks staging with caching."""
+
+    def __init__(
+        self,
+        corpus_path: Path,
+        scheme_path: Path,
+        cfg: RunConfig,
+        cache: Cache | None,
+    ):
+        self.corpus_path = corpus_path
+        self.scheme_path = scheme_path
+        self.cfg = cfg
+        self.cache = cache
+        self.scheme = load_scheme(scheme_path)
+        self.corpus_hash = sha256_file(corpus_path)
+        self.scheme_hash = sha256_file(scheme_path)
+        self.stages: list[dict] = []
+        self._corpus: Corpus | None = None
+        self._built: dict[str, object] = {}
+
+    def corpus(self) -> Corpus:
+        if self._corpus is None:
+            self._corpus = load_corpus(self.corpus_path, self.scheme, self.cfg.window)
+            self.stages.append({"stage": "parse", "cache": "off"})
+        return self._corpus
+
+    def _cached(self, stage: str, header: list[str], build, to_rows, from_rows):
+        """One stage's value, built once per run: decoded from the cache on a hit,
+        otherwise built, and serialized into the cache only when there is one."""
+        if stage in self._built:
+            return self._built[stage]
+        key = Cache.key(stage, [__version__, self.corpus_hash, self.scheme_hash,
+                                json.dumps(self.cfg.as_dict(), sort_keys=True)])
+        rows = self.cache.load(key) if self.cache is not None else None
+        if rows is not None:
+            value, outcome = from_rows(rows), "hit"
+        else:
+            value = build()
+            if self.cache is not None:
+                self.cache.store(key, header, to_rows(value))
+                outcome = "miss"
+            else:
+                outcome = "off"
+        self._built[stage] = value
+        self.stages.append({"stage": stage, "cache": outcome})
+        return value
+
+    def timelines(self) -> dict[str, CareerTimeline]:
+        return self._cached(
+            "timelines", TIMELINE_HEADER,
+            lambda: build_timelines(self.corpus(), self.cfg.tie_rule),
+            lambda timelines: timelines_to_rows(timelines, self.scheme),
+            rows_to_timelines,
+        )
+
+    def moves(self) -> dict[str, list[MoveEvent]]:
+        return self._cached(
+            "moves", MOVE_HEADER,
+            lambda: {a: detect_moves(tl) for a, tl in self.timelines().items()},
+            moves_to_rows, rows_to_moves,
+        )
+
+    def _build_states(self) -> dict[str, list[MobilityState]]:
+        timelines = self.timelines()
+        moves = self.moves()
+        return {
+            a: classify(tl, moves.get(a, []), self.cfg.home, self.scheme, self.cfg.host_attribution)
+            for a, tl in timelines.items()
+        }
+
+    def states(self) -> dict[str, list[MobilityState]]:
+        return self._cached("states", STATE_HEADER, self._build_states,
+                            states_to_rows, rows_to_states)
+
+    def _build_stock_cells(self) -> list[StockCell]:
+        corpus = self.corpus()
+        end_year = self.cfg.end_year if self.cfg.end_year is not None else corpus.window[1]
+        year_range = (corpus.window[0], end_year)
+        statuses = build_statuses(self.timelines(), year_range, grace=self.cfg.grace_years)
+        return stock_table(self.states(), statuses, year_range)
+
+    def stock_cells(self) -> list[StockCell]:
+        return self._cached(
+            "stocks", STOCK_HEADER[:4], self._build_stock_cells,
+            lambda cells: [row[:4] for row in stocks_to_rows(cells)],
+            lambda rows: [StockCell(r[0], int(r[1]), int(r[2]), int(r[3])) for r in rows],
+        )
+
+    def inputs(self) -> dict[str, str]:
+        return {
+            "corpus": str(self.corpus_path),
+            "corpus_sha256": self.corpus_hash,
+            "scheme": str(self.scheme_path),
+            "scheme_sha256": self.scheme_hash,
+        }

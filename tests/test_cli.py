@@ -111,14 +111,15 @@ def test_jobs_flag_is_a_usage_error(small_corpus, tmp_path):
 
 
 def test_no_cache_builds_no_cache_rows(small_corpus, tmp_path, monkeypatch):
-    import careertrace.cli as cli
+    import careertrace.pipeline as pipeline
 
     def refuse(*args, **kwargs):
         raise AssertionError("cache rows built with the cache off")
 
-    monkeypatch.setattr(cli, "timelines_to_rows", refuse)
-    monkeypatch.setattr(cli, "states_to_rows", refuse)
-    monkeypatch.setattr(cli.Cache, "store", refuse)
+    monkeypatch.setattr(pipeline, "timelines_to_rows", refuse)
+    monkeypatch.setattr(pipeline, "moves_to_rows", refuse)
+    monkeypatch.setattr(pipeline, "states_to_rows", refuse)
+    monkeypatch.setattr(pipeline.Cache, "store", refuse)
     assert run(["stocks", str(small_corpus), "-o", str(tmp_path / "s.csv"), "--no-cache"]) == 0
     assert run(["indicators", str(small_corpus), "-o", str(tmp_path / "ind"), "--no-cache"]) == 0
 
@@ -201,6 +202,38 @@ def test_run_config_file_and_flag_precedence(small_corpus, tmp_path):
     assert manifest["config"]["metrics"] == ["pp10"]  # flag wins over file
 
 
+@pytest.fixture
+def corpus_1980(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_corpus(path, [rec("p1", 1980, [("a1", ["CHN"])]), rec("p2", 2005, [("a1", ["USA"])])])
+    return path
+
+
+@pytest.mark.parametrize("bound", [["--year-min", "2000"], ["--year-max", "2017"]])
+def test_one_year_bound_is_a_config_error(corpus_1980, bound, capsys):
+    assert run(["validate", str(corpus_1980), *bound]) == 1
+    assert capsys.readouterr().err == (
+        "careertrace: error: year_min and year_max must be set together\n")
+
+
+def test_one_year_bound_in_config_file_is_a_config_error(corpus_1980, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("year_min = 2000\n")
+    out = tmp_path / "m"
+    assert run(["moves", str(corpus_1980), "-o", str(out), "--no-cache",
+                "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "careertrace: error: year_min and year_max must be set together\n")
+    # the file's bound and a flag's bound make one window together
+    assert run(["validate", str(corpus_1980), "--config", str(cfg), "--year-max", "2017"]) == 1
+    assert "year 1980 outside window 2000..2017" in capsys.readouterr().err
+
+
+def test_inverted_year_window_is_a_config_error(corpus_1980, capsys):
+    assert run(["validate", str(corpus_1980), "--year-min", "2020", "--year-max", "2000"]) == 1
+    assert capsys.readouterr().err == "careertrace: error: year_min 2020 is after year_max 2000\n"
+
+
 def test_synth_roundtrip_and_determinism(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
@@ -227,6 +260,29 @@ def test_cache_hit_observable_in_manifest(small_corpus, tmp_path):
     assert stages2["timelines"] == "hit"
     assert stages2["states"] == "hit"
     assert data_files(out1) == data_files(out2)
+
+
+@pytest.mark.parametrize("command", [
+    ["timelines"],
+    ["moves"],
+    ["stocks", "--end-year", "2008"],
+    ["indicators"],
+], ids=lambda c: c[0])
+def test_warm_run_reproduces_cold_run(command, tmp_path):
+    from conftest import random_records
+
+    # multi-country authorships give fractional and tied weights to round-trip
+    corpus = tmp_path / "in.jsonl"
+    write_corpus(corpus, random_records(random.Random(5), 160))
+    cache = tmp_path / "cache"
+    name = "out.csv" if command[0] in ("timelines", "stocks") else "out"
+    for run_name in ("cold", "warm"):
+        assert run([command[0], str(corpus), "-o", str(tmp_path / run_name / name),
+                    "--cache-dir", str(cache), *command[1:]]) == 0
+    assert data_files(tmp_path / "cold") == data_files(tmp_path / "warm")
+    manifest = next((tmp_path / "warm").rglob("*manifest.json"))
+    outcomes = [s["cache"] for s in json.loads(manifest.read_text())["stages"]]
+    assert "hit" in outcomes and "miss" not in outcomes
 
 
 def test_stocks_cache_skips_parse(small_corpus, tmp_path):
