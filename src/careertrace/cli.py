@@ -257,16 +257,16 @@ def cmd_indicators(args: argparse.Namespace) -> int:
             pipe.corpus(), pipe.states(), cfg.home, cfg.intl_requires_distinct_authors
         )
         pipe.stages.append({"stage": "indicators", "cache": "off"})
-        for metric, rows in (
-            ("pp10", engine.pp10_rows()),
-            ("shares", engine.share_rows()),
-            ("intl", engine.intl_rows()),
-            ("class_intl", engine.class_intl_rows()),
-            ("direction", engine.direction_rows()),
+        for metric, build_rows in (
+            ("pp10", engine.pp10_rows),
+            ("shares", engine.share_rows),
+            ("intl", engine.intl_rows),
+            ("class_intl", engine.class_intl_rows),
+            ("direction", engine.direction_rows),
         ):
             if metric in want:
                 write_table(out_dir / f"{metric}.csv", INDICATOR_HEADER,
-                            indicator_rows_to_table(rows))
+                            indicator_rows_to_table(build_rows()))
     if want & {"stocks", "ratio"}:
         cells = pipe.stock_cells()
         if "stocks" in want:

@@ -56,14 +56,6 @@ class NoStateForYear(CareerTraceError):
         self.year = year
 
 
-class BeforeCareer(CareerTraceError):
-    def __init__(self, author_id: str, year: int, first_year: int):
-        super().__init__(f"{year} precedes first publication year {first_year} of {author_id!r}")
-        self.author_id = author_id
-        self.year = year
-        self.first_year = first_year
-
-
 class UndefinedRatio(CareerTraceError):
     """Both sides of a stock ratio are zero."""
 

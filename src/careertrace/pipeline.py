@@ -198,9 +198,6 @@ def rows_to_timelines(rows: list[list[str]]) -> dict[str, CareerTimeline]:
         out[author_id] = CareerTimeline(
             author_id=author_id,
             positions=positions,
-            origin_region=positions[0].dominant,
-            first_year=positions[0].year,
-            last_year=positions[-1].year,
             origin_ambiguous=author_rows[0][5] == "1",
         )
     return out

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import BeforeCareer, UndefinedRatio
+from .errors import UndefinedRatio
 from .mobility import MobilityState, overseas, returnee_resident
 from .timeline import CareerTimeline
 
@@ -25,48 +25,31 @@ RETIRED = "Retired"
 DEFAULT_GRACE_YEARS = 2
 
 
-@dataclass(frozen=True, slots=True)
-class ActivityStatus:
-    author_id: str
-    year: int
-    status: str
-
-
-def activity_status(
-    timeline: CareerTimeline,
-    year: int,
-    *,
-    grace: int = DEFAULT_GRACE_YEARS,
-) -> ActivityStatus:
-    """Active / GapFilled / Retired for one author-year.
-
-    Active when a position exists for the year. Interior gaps are filled
-    regardless of length; trailing years are filled up to ``grace`` years
-    past the last publication, then the author counts as retired.
-    """
-    if year < timeline.first_year:
-        raise BeforeCareer(timeline.author_id, year, timeline.first_year)
-    if timeline.has_position(year):
-        status = ACTIVE
-    elif year < timeline.last_year or year <= timeline.last_year + grace:
-        status = GAP_FILLED
-    else:
-        status = RETIRED
-    return ActivityStatus(author_id=timeline.author_id, year=year, status=status)
-
-
 def build_statuses(
     timelines: Mapping[str, CareerTimeline],
     year_range: tuple[int, int],
     *,
     grace: int = DEFAULT_GRACE_YEARS,
-) -> dict[tuple[str, int], ActivityStatus]:
-    """Statuses for every author-year in range, starting at each career's first year."""
-    statuses: dict[tuple[str, int], ActivityStatus] = {}
+) -> dict[tuple[str, int], str]:
+    """Active / GapFilled / Retired for every author-year in range, starting at
+    each career's first year.
+
+    Active when a position exists for the year. Interior gaps are filled
+    regardless of length; trailing years are filled up to ``grace`` years
+    past the last publication, then the author counts as retired.
+    """
+    statuses: dict[tuple[str, int], str] = {}
     y0, y1 = year_range
     for author_id, tl in timelines.items():
+        active = {p.year for p in tl.positions}
+        countable_until = tl.last_year + grace
         for year in range(max(y0, tl.first_year), y1 + 1):
-            statuses[(author_id, year)] = activity_status(tl, year, grace=grace)
+            if year in active:
+                statuses[(author_id, year)] = ACTIVE
+            elif year <= countable_until:
+                statuses[(author_id, year)] = GAP_FILLED
+            else:
+                statuses[(author_id, year)] = RETIRED
     return statuses
 
 
@@ -84,7 +67,7 @@ class StockCell:
 
 def stock_table(
     states: Mapping[str, list[MobilityState]],
-    statuses: Mapping[tuple[str, int], ActivityStatus],
+    statuses: Mapping[tuple[str, int], str],
     year_range: tuple[int, int],
 ) -> list[StockCell]:
     """Counts per (class, year), split into preceding stock and new movement.
@@ -107,7 +90,7 @@ def stock_table(
                 current = author_states[idx]
                 idx += 1
             status = statuses.get((author_id, year))
-            if status is None or status.status == RETIRED or current is None:
+            if status is None or status == RETIRED or current is None:
                 continue
             cell = (current.klass.key(), year)
             if current.since_year == year:

@@ -7,7 +7,7 @@ year still count toward output indicators but do not define location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Corpus, RegionScheme, regionalize
 
@@ -24,17 +24,19 @@ class YearPosition:
 class CareerTimeline:
     author_id: str
     positions: list[YearPosition]
-    origin_region: str
-    first_year: int
-    last_year: int
     origin_ambiguous: bool = False
-    _years: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self._years = frozenset(p.year for p in self.positions)
+    @property
+    def origin_region(self) -> str:
+        return self.positions[0].dominant
 
-    def has_position(self, year: int) -> bool:
-        return year in self._years
+    @property
+    def first_year(self) -> int:
+        return self.positions[0].year
+
+    @property
+    def last_year(self) -> int:
+        return self.positions[-1].year
 
 
 def dominant_region(
@@ -100,9 +102,6 @@ def build_timelines(corpus: Corpus, tie_rule: str = "hysteresis") -> dict[str, C
         timelines[author_id] = CareerTimeline(
             author_id=author_id,
             positions=positions,
-            origin_region=positions[0].dominant,
-            first_year=positions[0].year,
-            last_year=positions[-1].year,
             origin_ambiguous=origin_ambiguous,
         )
     return timelines

@@ -14,7 +14,7 @@ from careertrace.corpus import Corpus, default_scheme, parse_corpus, regionalize
 from careertrace.errors import EmptyReference
 from careertrace.indicators import IndicatorEngine, citation_baselines, top10_flags
 from careertrace.mobility import classify, detect_moves, returnee_abroad, returnee_resident
-from careertrace.stocks import RETIRED, activity_status, build_statuses, stock_table
+from careertrace.stocks import RETIRED, build_statuses, stock_table
 from careertrace.synth import ScenarioConfig, generate
 from careertrace.timeline import build_timelines
 
@@ -173,7 +173,7 @@ def _class_by_author_year(states, statuses, year_range):
         by_year = {s.year: s for s in sts}
         for year in range(years[0], year_range[1] + 1):
             status = statuses.get((author, year))
-            if status is None or status.status == RETIRED:
+            if status is None or status == RETIRED:
                 continue
             known = max(y for y in years if y <= year)
             st = by_year[known]
@@ -190,9 +190,10 @@ def test_criterion_4_stock_rules():
             lines(rec("p0", 2000, [("a1", ["CHN"])]), rec("p1", last, [("a1", ["CHN"])])),
             SCHEME,
         )
-        tl = build_timelines(corpus)["a1"]
+        statuses = build_statuses(build_timelines(corpus), (1999, last + 4))
+        boundary_ok = boundary_ok and ("a1", 1999) not in statuses
         for year in range(2000, last + 5):
-            status = activity_status(tl, year).status
+            status = statuses.get(("a1", year))
             if year <= last:
                 expect = "Active" if year in (2000, last) else "GapFilled"
             elif year <= last + 2:

@@ -4,9 +4,14 @@ from pathlib import Path
 
 import pytest
 
+import bruteforce as bf
 from careertrace.cli import run
+from careertrace.corpus import default_scheme
+from careertrace.indicators import IndicatorEngine
+from careertrace.report import read_table
 
-from conftest import lines, rec
+from conftest import lines, random_records, rec
+from equivalence import oracle_scheme
 
 
 def write_corpus(path: Path, records):
@@ -166,6 +171,26 @@ def test_stocks_output(small_corpus, tmp_path):
     assert "\"Overseas(CHN,USA)\",2007,0,1,1" in body
 
 
+@pytest.mark.parametrize("grace", [0, 3])
+def test_stocks_match_oracle_past_window_end(grace, tmp_path):
+    """The stock year range runs from the corpus start to ``--end-year``."""
+    records = random_records(random.Random(17), 80)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, records)
+    years = [r["year"] for r in records]
+    year_range = (min(years), max(years) + 3)
+    out = tmp_path / "stocks.csv"
+    assert run(["stocks", str(path), "-o", str(out), "--no-cache", "--grace", str(grace),
+                "--end-year", str(year_range[1])]) == 0
+
+    positions = bf.timelines(bf.parse_records(lines(*records)), oracle_scheme(default_scheme()))
+    classes = {a: bf.classes(p, bf.moves(p), "CHN") for a, p in positions.items()}
+    expected = bf.stocks(positions, classes, year_range, grace)
+    _header, rows = read_table(out)
+    got = {(key, int(year)): (int(prec), int(new)) for key, year, prec, new, _total in rows}
+    assert got == expected
+
+
 def test_indicators_and_report(small_corpus, tmp_path):
     out = tmp_path / "ind"
     assert run(["indicators", str(small_corpus), "-o", str(out), "--no-cache"]) == 0
@@ -178,7 +203,12 @@ def test_indicators_and_report(small_corpus, tmp_path):
     assert list(report.glob("*.svg"))
 
 
-def test_metric_selection(small_corpus, tmp_path):
+def test_metric_selection(small_corpus, tmp_path, monkeypatch):
+    def unselected(self):
+        raise AssertionError("built an indicator family that was not selected")
+
+    for name in ("share_rows", "intl_rows", "class_intl_rows", "direction_rows"):
+        monkeypatch.setattr(IndicatorEngine, name, unselected)
     out = tmp_path / "ind2"
     assert run(["indicators", str(small_corpus), "-o", str(out), "--no-cache",
                 "--metrics", "pp10"]) == 0

@@ -1,15 +1,18 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from careertrace.errors import BeforeCareer, UndefinedRatio
+import bruteforce as bf
+from careertrace.errors import UndefinedRatio
 from careertrace.mobility import classify, detect_moves
 from careertrace.stocks import (
     ACTIVE,
     GAP_FILLED,
     RETIRED,
     StockCell,
-    activity_status,
     build_statuses,
     return_ratio,
     stock_lookup,
@@ -17,7 +20,8 @@ from careertrace.stocks import (
 )
 from careertrace.timeline import build_timelines
 
-from conftest import corpus_of, rec
+from conftest import corpus_of, lines, random_records, rec
+from equivalence import oracle_scheme
 
 
 def timeline_of(scheme, *year_countries, author="a1"):
@@ -25,6 +29,11 @@ def timeline_of(scheme, *year_countries, author="a1"):
         rec(f"q{i}", year, [(author, [c])]) for i, (year, c) in enumerate(year_countries)
     ]
     return build_timelines(corpus_of(*records))[author]
+
+
+def status_of(tl, year, grace=2):
+    """The status ``build_statuses`` gives one author-year, None when it has no cell."""
+    return build_statuses({tl.author_id: tl}, (year, year), grace=grace).get((tl.author_id, year))
 
 
 def pipeline_states(scheme, records, home="CHN", grace=2, end_year=None, year_range=None):
@@ -41,8 +50,8 @@ def pipeline_states(scheme, records, home="CHN", grace=2, end_year=None, year_ra
 
 def test_interior_gap_is_filled(scheme):
     tl = timeline_of(scheme, (2010, "CHN"), (2013, "CHN"))
-    assert activity_status(tl, 2011).status == GAP_FILLED
-    assert activity_status(tl, 2012).status == GAP_FILLED
+    assert status_of(tl, 2011) == GAP_FILLED
+    assert status_of(tl, 2012) == GAP_FILLED
 
 
 def test_trailing_grace_hand_table(scheme):
@@ -56,18 +65,19 @@ def test_trailing_grace_hand_table(scheme):
         2018: RETIRED,
     }
     for year, status in expected.items():
-        assert activity_status(tl, year).status == status, year
+        assert status_of(tl, year) == status, year
 
 
 def test_active_at_position_year(scheme):
     tl = timeline_of(scheme, (2010, "CHN"))
-    assert activity_status(tl, 2010).status == ACTIVE
+    assert status_of(tl, 2010) == ACTIVE
 
 
-def test_before_career_raises(scheme):
+def test_no_status_before_career(scheme):
     tl = timeline_of(scheme, (2010, "CHN"))
-    with pytest.raises(BeforeCareer):
-        activity_status(tl, 2009)
+    assert status_of(tl, 2009) is None
+    statuses = build_statuses({"a1": tl}, (2005, 2011))
+    assert sorted(statuses) == [("a1", 2010), ("a1", 2011)]
 
 
 def test_grace_boundary_exhaustive(scheme):
@@ -75,7 +85,7 @@ def test_grace_boundary_exhaustive(scheme):
     for last in range(2005, 2015):
         tl = timeline_of(scheme, (2000, "CHN"), (last, "CHN"))
         for year in range(2000, last + 6):
-            status = activity_status(tl, year).status
+            status = status_of(tl, year)
             if year in (2000, last):
                 assert status == ACTIVE
             elif year < last:
@@ -88,15 +98,52 @@ def test_grace_boundary_exhaustive(scheme):
 
 def test_configurable_grace(scheme):
     tl = timeline_of(scheme, (2010, "CHN"))
-    assert activity_status(tl, 2011, grace=0).status == RETIRED
-    assert activity_status(tl, 2013, grace=3).status == GAP_FILLED
-    assert activity_status(tl, 2014, grace=3).status == RETIRED
+    assert status_of(tl, 2011, grace=0) == RETIRED
+    assert status_of(tl, 2013, grace=3) == GAP_FILLED
+    assert status_of(tl, 2014, grace=3) == RETIRED
 
 
 def test_interior_gap_filled_regardless_of_length(scheme):
     tl = timeline_of(scheme, (2000, "CHN"), (2015, "CHN"))
     for year in range(2001, 2015):
-        assert activity_status(tl, year).status == GAP_FILLED
+        assert status_of(tl, year) == GAP_FILLED
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    grace=st.integers(0, 3),
+    extra_years=st.integers(0, 4),
+)
+def test_statuses_and_stocks_match_oracle(seed, n, grace, extra_years):
+    """Every cell equals ``bf.status``, none precedes a career, and the stock
+    table equals ``bf.stocks``, for any grace and an end year past the data."""
+    records = random_records(random.Random(seed), n)
+    corpus = corpus_of(*records)
+    scheme = corpus.scheme
+    year_range = (corpus.window[0], corpus.window[1] + extra_years)
+    timelines = build_timelines(corpus)
+    statuses = build_statuses(timelines, year_range, grace=grace)
+
+    bf_timelines = bf.timelines(bf.parse_records(lines(*records)), oracle_scheme(scheme))
+    expected = {
+        (a, year): bf.status(positions, year, grace)
+        for a, positions in bf_timelines.items()
+        for year in range(year_range[0], year_range[1] + 1)
+        if year >= positions[0][0]
+    }
+    assert statuses == expected
+    assert all(year >= timelines[a].first_year for a, year in statuses)
+
+    states = {a: classify(tl, detect_moves(tl), "CHN", scheme) for a, tl in timelines.items()}
+    bf_classes = {
+        a: bf.classes(positions, bf.moves(positions), "CHN")
+        for a, positions in bf_timelines.items()
+    }
+    cells = stock_table(states, statuses, year_range)
+    got = {(c.class_key, c.year): (c.preceding, c.new_movement) for c in cells}
+    assert got == bf.stocks(bf_timelines, bf_classes, year_range, grace)
 
 
 def test_stock_table_overseas_entry(scheme):
