@@ -321,10 +321,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     with open(truth_path, "w", encoding="utf-8", newline="") as fh:
         for line in truth.dump_lines():
             fh.write(line + "\n")
+    manifest_config = json.loads(config.to_json())
+    manifest_config["gap_probability"] = args.gap_probability
+    manifest_config["dual_affiliation_probability"] = args.dual_affiliation_probability
     write_manifest(
         out.with_name(out.name + ".manifest.json"),
         "synth",
-        json.loads(config.to_json()),
+        manifest_config,
         {"scheme": str(scheme_path), "scheme_sha256": sha256_file(scheme_path)},
         [{"stage": "generate", "cache": "off"}],
     )

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-from .errors import (
-    CareerTraceError,
-    DuplicatePubId,
-    EmptyAuthorList,
-    MalformedLine,
-    SchemeError,
-    YearOutOfWindow,
-)
+from .errors import MalformedLine, SchemeError
 
 _RECORD_KEYS = frozenset({"pub_id", "year", "seq", "fields", "doc_type", "cites", "authors"})
 _AUTHOR_KEYS = frozenset({"id", "countries"})
@@ -71,6 +64,7 @@ class RegionScheme:
             for code in codes:
                 self._country_to_region[code] = label
         self._rank = {label: i for i, label in enumerate(self.label_order)}
+        self._weights: dict[tuple[str, ...], dict[str, float]] = {}  # regionalize() memo
 
     def _validate(self) -> None:
         seen: dict[str, str] = {}
@@ -241,7 +235,7 @@ def _parse_record(obj: object, line_no: int, pools: _Pools) -> PublicationRecord
     if type(authors) is not list:
         raise MalformedLine(line_no, "authors must be an array")
     if not authors:
-        raise EmptyAuthorList(pub_id, line_no)
+        raise MalformedLine(line_no, f"record {pub_id!r} has no authors")
 
     pooled = pools.authorships
     authorships = []
@@ -331,7 +325,7 @@ def _load_line(line: str, line_no: int, pools: _Pools) -> PublicationRecord:
 
 def _read(
     lines: Iterable[str], window: tuple[int, int] | None
-) -> Iterator[PublicationRecord | CareerTraceError]:
+) -> Iterator[PublicationRecord | MalformedLine]:
     """The corpus reader: per non-blank line, its record or its first problem."""
     pools = _Pools()
     seen: set[str] = set()
@@ -340,15 +334,17 @@ def _read(
             continue
         try:
             rec = _load_line(line, line_no, pools)
-        except (MalformedLine, EmptyAuthorList) as exc:
+        except MalformedLine as exc:
             yield exc
             continue
         if rec.pub_id in seen:
-            yield DuplicatePubId(rec.pub_id, line_no)
+            yield MalformedLine(line_no, f"duplicate pub_id {rec.pub_id!r}")
             continue
         seen.add(rec.pub_id)
         if window is not None and not (window[0] <= rec.year <= window[1]):
-            yield YearOutOfWindow(rec.pub_id, rec.year, window)
+            yield MalformedLine(
+                line_no, f"record {rec.pub_id!r} year {rec.year} outside window {window[0]}..{window[1]}"
+            )
         else:
             yield rec
 
@@ -357,7 +353,7 @@ def iter_diagnostics(
     lines: Iterable[str],
     scheme: RegionScheme,
     window: tuple[int, int] | None = None,
-) -> Iterator[Exception]:
+) -> Iterator[MalformedLine]:
     """Yield every validation problem in the stream (used by ``validate``)."""
     for item in _read(lines, window):
         if type(item) is not PublicationRecord:
@@ -405,14 +401,18 @@ def regionalize(countries: Iterable[str], scheme: RegionScheme) -> dict[str, flo
     """Fractional region weights of an affiliation-country list.
 
     Each listed country contributes 1/n; duplicates count separately.
-    Weights are grouped by region and sum to 1.
+    Weights are grouped by region and sum to 1. The scheme memoizes one dict
+    per country tuple, shared by every caller, so it must not be mutated.
     """
-    counts: dict[str, int] = {}
-    n = 0
-    for c in countries:
-        region = scheme.region_of(c)
-        counts[region] = counts.get(region, 0) + 1
-        n += 1
-    if n == 0:
-        raise ValueError("countries must be non-empty")
-    return {region: k / n for region, k in counts.items()}
+    key = tuple(countries)
+    weights = scheme._weights.get(key)
+    if weights is None:
+        if not key:
+            raise ValueError("countries must be non-empty")
+        counts: dict[str, int] = {}
+        for c in key:
+            region = scheme.region_of(c)
+            counts[region] = counts.get(region, 0) + 1
+        n = len(key)
+        weights = scheme._weights[key] = {region: k / n for region, k in counts.items()}
+    return weights

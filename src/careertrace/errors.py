@@ -8,35 +8,12 @@ class CareerTraceError(Exception):
 
 
 class MalformedLine(CareerTraceError):
-    """A corpus line is not a valid record object."""
+    """A rejected corpus line; every corpus diagnostic reads ``line N: <reason>``."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
-
-
-class DuplicatePubId(CareerTraceError):
-    def __init__(self, pub_id: str, line_no: int | None = None):
-        at = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"duplicate pub_id {pub_id!r}{at}")
-        self.pub_id = pub_id
-        self.line_no = line_no
-
-
-class EmptyAuthorList(CareerTraceError):
-    def __init__(self, pub_id: str, line_no: int | None = None):
-        super().__init__(f"record {pub_id!r} has no authors")
-        self.pub_id = pub_id
-        self.line_no = line_no
-
-
-class YearOutOfWindow(CareerTraceError):
-    def __init__(self, pub_id: str, year: int, window: tuple[int, int]):
-        super().__init__(f"record {pub_id!r} year {year} outside window {window[0]}..{window[1]}")
-        self.pub_id = pub_id
-        self.year = year
-        self.window = window
 
 
 class SchemeError(CareerTraceError):

@@ -142,21 +142,6 @@ class StateIndex:
             raise NoStateForYear(author_id, year) from None
 
 
-class _WeightCache:
-    """regionalize() memoized on the affiliation-country tuple."""
-
-    def __init__(self, scheme: RegionScheme):
-        self._scheme = scheme
-        self._cache: dict[tuple[str, ...], dict[str, float]] = {}
-
-    def __call__(self, countries: tuple[str, ...]) -> dict[str, float]:
-        w = self._cache.get(countries)
-        if w is None:
-            w = regionalize(countries, self._scheme)
-            self._cache[countries] = w
-        return w
-
-
 def intl_copub(
     record: PublicationRecord,
     scheme: RegionScheme,
@@ -247,7 +232,6 @@ class IndicatorEngine:
     def _run(self) -> None:
         home = self.home
         scheme = self.scheme
-        weights = _WeightCache(scheme)
         series_cache: dict[MobilityClass, tuple[tuple[str, bool], ...]] = {}
         acc: dict[int, dict[str, list[float]]] = {}
         pair_acc: dict[tuple[str, str], dict[int, list[float]]] = {}  # [full, frac]
@@ -263,7 +247,7 @@ class IndicatorEngine:
             held: dict[str, float] = {}  # class series -> whole authorship weight held
             rec_region_w: dict[str, float] = {}
             for a in rec.authorships:
-                auth_regions = weights(a.countries)
+                auth_regions = regionalize(a.countries, scheme)
                 auth_w = 1.0 / n
                 home_share = auth_regions.get(home, 0.0) * auth_w
                 for region, w in auth_regions.items():
@@ -409,16 +393,10 @@ class IndicatorEngine:
                     )
         return rows
 
-    def direction_share(self, series: str, partner: str, year: int | None = None) -> float:
-        """Pooled or per-year direction share for one class series."""
-        den_by_year = self._dir_den.get(partner, {})
-        num_by_year = self._dir_num.get((series, partner), {})
-        if year is not None:
-            den = den_by_year.get(year, 0.0)
-            num = num_by_year.get(year, 0.0)
-        else:
-            den = sum(den_by_year.values())
-            num = sum(num_by_year.values())
+    def direction_share(self, series: str, partner: str) -> float:
+        """Direction share for one class series, pooled over all years."""
+        den = sum(self._dir_den.get(partner, {}).values())
+        num = sum(self._dir_num.get((series, partner), {}).values())
         if den == 0.0:
             raise EmptyReference(f"no {self.home}-{partner} co-publications")
         return num / den

@@ -130,7 +130,6 @@ def line_chart(
     path: str | Path,
     title: str,
     series: dict[str, list[tuple[float, float]]],
-    y_label: str = "",
 ) -> None:
     """One polyline per series over a shared year axis."""
     svg = _Svg(title)
@@ -156,10 +155,6 @@ def line_chart(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )
     svg.legend(labels)
-    if y_label:
-        svg.parts.append(
-            f'<text x="16" y="{svg.TOP - 10}" font-size="11">{_esc(y_label)}</text>'
-        )
     svg.write(path)
 
 

@@ -107,7 +107,24 @@ def test_moves_duplicate_pub_id_names_the_repeated_line(tmp_path, capsys):
     path = tmp_path / "dup.jsonl"
     write_corpus(path, records + [rec("p3", 2006, [("a1", ["USA"])])])
     assert run(["moves", str(path), "-o", str(tmp_path / "out"), "--no-cache"]) == 1
-    assert capsys.readouterr().err == "careertrace: error: duplicate pub_id 'p3' (line 201)\n"
+    assert capsys.readouterr().err == "careertrace: error: line 201: duplicate pub_id 'p3'\n"
+
+
+def test_validate_every_diagnostic_names_its_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_corpus(Path("d.jsonl"), [
+        rec("p1", 2005, [("a1", ["CHN"])]),
+        rec("p2", 2005, []),
+        rec("p3", 1980, [("a1", ["CHN"])]),
+        rec("p1", 2006, [("a1", ["USA"])]),
+    ])
+    assert run(["validate", "d.jsonl", "--year-min", "2000", "--year-max", "2017"]) == 1
+    assert capsys.readouterr().err == (
+        "careertrace: d.jsonl: line 2: record 'p2' has no authors\n"
+        "careertrace: d.jsonl: line 3: record 'p3' year 1980 outside window 2000..2017\n"
+        "careertrace: d.jsonl: line 4: duplicate pub_id 'p1'\n"
+        "careertrace: d.jsonl: 3 problem(s) found\n"
+    )
 
 
 def test_jobs_flag_is_a_usage_error(small_corpus, tmp_path):
@@ -273,6 +290,26 @@ def test_synth_roundtrip_and_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert a.with_suffix(".truth").read_bytes() == b.with_suffix(".truth").read_bytes()
     assert run(["validate", str(a)]) == 0
+
+
+def test_synth_manifest_echoes_degrade_settings(tmp_path):
+    def manifest_config(name, *extra):
+        out = tmp_path / f"{name}.jsonl"
+        assert run(["synth", "--seed", "3", "--n-authors", "50", "-o", str(out),
+                    "--truth", str(tmp_path / f"{name}.truth"), *extra]) == 0
+        return json.loads(out.with_name(out.name + ".manifest.json").read_text())["config"]
+
+    def degrade_settings(config):
+        return {k: config.pop(k) for k in ("gap_probability", "dual_affiliation_probability")}
+
+    plain = manifest_config("plain")
+    degraded = manifest_config("degraded", "--gap-probability", "0.3",
+                               "--dual-affiliation-probability", "0.2")
+    assert (tmp_path / "plain.jsonl").read_bytes() != (tmp_path / "degraded.jsonl").read_bytes()
+    assert degrade_settings(plain) == {"gap_probability": 0.0, "dual_affiliation_probability": 0.0}
+    assert degrade_settings(degraded) == {"gap_probability": 0.3,
+                                          "dual_affiliation_probability": 0.2}
+    assert degraded == plain
 
 
 def test_cache_hit_observable_in_manifest(small_corpus, tmp_path):

@@ -17,15 +17,10 @@ from careertrace.corpus import (
     parse_corpus,
     regionalize,
 )
-from careertrace.errors import (
-    DuplicatePubId,
-    EmptyAuthorList,
-    MalformedLine,
-    SchemeError,
-    YearOutOfWindow,
-)
+from careertrace.errors import MalformedLine, SchemeError
+from careertrace.timeline import build_timelines
 
-from conftest import lines, random_records, rec
+from conftest import corpus_of, lines, random_records, rec
 
 
 def test_parse_single_valid_line(scheme):
@@ -44,19 +39,22 @@ def test_parse_single_valid_line(scheme):
 
 def test_duplicate_pub_id_rejected(scheme):
     line = json.dumps(rec("p1", 2005, [("a1", ["CHN"])]))
-    with pytest.raises(DuplicatePubId):
+    with pytest.raises(MalformedLine) as exc:
         parse_corpus([line, line], scheme)
+    assert str(exc.value) == "line 2: duplicate pub_id 'p1'"
 
 
 def test_empty_author_list_rejected(scheme):
     bad = rec("p1", 2005, [])
-    with pytest.raises(EmptyAuthorList):
+    with pytest.raises(MalformedLine) as exc:
         parse_corpus(lines(bad), scheme)
+    assert str(exc.value) == "line 1: record 'p1' has no authors"
 
 
 def test_year_out_of_window(scheme):
-    with pytest.raises(YearOutOfWindow):
+    with pytest.raises(MalformedLine) as exc:
         parse_corpus(lines(rec("p1", 1980, [("a1", ["CHN"])])), scheme, window=(2000, 2017))
+    assert str(exc.value) == "line 1: record 'p1' year 1980 outside window 2000..2017"
 
 
 @pytest.mark.parametrize(
@@ -87,7 +85,9 @@ def _variant(**changes):
 
 
 # Each malformed line with the exact diagnostic the original json.loads-based
-# reader gave for it, recorded before the reader was rewritten.
+# reader gave for it, recorded before the reader was rewritten. One entry was
+# changed on purpose since: "empty author list" had its own exception type and
+# no line number, and is now a MalformedLine that names its line like the rest.
 SEED_DIAGNOSTICS = {
     "trailing garbage": (
         _variant() + " x", "MalformedLine", "line 3: invalid JSON (Extra data)"),
@@ -119,7 +119,8 @@ SEED_DIAGNOSTICS = {
     "missing key": (
         json.dumps({k: v for k, v in json.loads(_variant()).items() if k != "doc_type"}),
         "MalformedLine", "line 3: missing key 'doc_type'"),
-    "empty author list": (_variant(authors=[]), "EmptyAuthorList", "record 'p1' has no authors"),
+    "empty author list": (
+        _variant(authors=[]), "MalformedLine", "line 3: record 'p1' has no authors"),
 }
 
 
@@ -130,7 +131,7 @@ def test_diagnostics_match_recorded_seed(scheme, case):
     # the good line first warms the reader's pools, so a pooled value never hides a problem
     diags = list(iter_diagnostics([good, "", line], scheme))
     assert [(type(d).__name__, str(d), d.line_no) for d in diags] == [(kind, message, 3)]
-    with pytest.raises((MalformedLine, EmptyAuthorList)) as exc:
+    with pytest.raises(MalformedLine) as exc:
         parse_corpus([good, "", line], scheme)
     assert (type(exc.value).__name__, str(exc.value)) == (kind, message)
 
@@ -171,9 +172,9 @@ def test_load_line_json_errors_match_json_loads(line):
     try:
         _load_line(line, 7, _Pools())
         reason = None
-    except (MalformedLine, EmptyAuthorList) as exc:
+    except MalformedLine as exc:
         assert exc.line_no == 7
-        reason = getattr(exc, "reason", None)
+        reason = exc.reason
     if expected is None:
         assert reason is None or not reason.startswith("invalid JSON")
     else:
@@ -215,7 +216,59 @@ def test_iter_diagnostics_reports_all_problems(scheme):
     diags = list(iter_diagnostics([good, "{broken", good], scheme))
     assert len(diags) == 2
     assert isinstance(diags[0], MalformedLine)
-    assert isinstance(diags[1], DuplicatePubId)
+    assert type(diags[1]) is MalformedLine
+    assert str(diags[1]) == "line 3: duplicate pub_id 'p1'"
+
+
+_REQUIRED_KEYS = ("pub_id", "year", "fields", "doc_type", "cites", "authors")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_every_rejected_line_is_one_diagnostic_naming_it(seed, data):
+    """Break drawn lines of a valid corpus in five ways: each broken line gives
+    exactly one MalformedLine, in line order, that reads ``line N: <reason>``."""
+    window = (2000, 2008)
+    records = random_records(random.Random(seed), 25, years=window)
+    body = [json.dumps(r) for r in records]
+    broken = data.draw(st.dictionaries(
+        st.integers(1, len(records) - 1),
+        st.sampled_from(["no authors", "duplicate", "window", "missing key", "json"]),
+        min_size=1, max_size=8,
+    ))
+    expected = []
+    for i in sorted(broken):
+        r = dict(records[i])
+        pub_id = r["pub_id"]
+        if broken[i] == "no authors":
+            r["authors"] = []
+            reason = f"record {pub_id!r} has no authors"
+        elif broken[i] == "duplicate":
+            earlier = data.draw(st.sampled_from([j for j in range(i) if j not in broken]))
+            r["pub_id"] = records[earlier]["pub_id"]
+            reason = f"duplicate pub_id {r['pub_id']!r}"
+        elif broken[i] == "window":
+            r["year"] = data.draw(st.sampled_from([window[0] - 1, window[1] + 1, 20017]))
+            reason = f"record {pub_id!r} year {r['year']} outside window 2000..2008"
+        elif broken[i] == "missing key":
+            key = data.draw(st.sampled_from(_REQUIRED_KEYS))
+            del r[key]
+            reason = f"missing key {key!r}"
+        else:
+            body[i] = json.dumps(r)[:-1]
+            reason = "invalid JSON (Expecting ',' delimiter)"
+        if broken[i] != "json":
+            body[i] = json.dumps(r)
+        expected.append(f"line {i + 1}: {reason}")
+    scheme = default_scheme()
+    diags = list(iter_diagnostics(body, scheme, window))
+    assert all(type(d) is MalformedLine for d in diags)
+    assert [d.line_no for d in diags] == [i + 1 for i in sorted(broken)]
+    assert all(str(d).startswith(f"line {d.line_no}: ") for d in diags)
+    assert [str(d) for d in diags] == expected
+    with pytest.raises(MalformedLine) as exc:
+        parse_corpus(body, scheme, window)
+    assert str(exc.value) == expected[0]
 
 
 def test_parse_is_permutation_invariant(scheme):
@@ -268,6 +321,20 @@ def test_regionalize_duplicate_countries_count_separately(scheme):
 
 def test_regionalize_unmapped_goes_to_other(scheme):
     assert regionalize(["ZZZ"], scheme) == {"OTHER": 1.0}
+
+
+def test_regionalize_shares_one_dict_per_country_tuple(scheme):
+    assert regionalize(["CHN", "USA"], scheme) is regionalize(("CHN", "USA"), scheme)
+    with pytest.raises(ValueError):
+        regionalize([], scheme)
+    with pytest.raises(ValueError):
+        regionalize((), scheme)
+    timelines = build_timelines(corpus_of(
+        rec("p1", 2005, [("a1", ["DEU", "CHN"])]),
+        rec("p2", 2006, [("a2", ["DEU", "CHN"])]),
+        scheme=scheme,
+    ))
+    assert timelines["a1"].positions[0].weights is timelines["a2"].positions[0].weights
 
 
 def test_regionalize_weights_sum_to_one(scheme):

@@ -9,7 +9,7 @@ import pytest
 
 from careertrace.cli import run
 from careertrace.corpus import load_corpus, parse_corpus
-from careertrace.errors import MalformedLine, YearOutOfWindow
+from careertrace.errors import MalformedLine
 from careertrace.indicators import nearest_rank_90th
 
 from conftest import lines, rec
@@ -48,7 +48,7 @@ def test_parallel_parse_window_enforced(scheme, tmp_path):
     records = [rec("p0", 1980, [("a1", ["CHN"])]), rec("p1", 2005, [("a1", ["CHN"])])]
     path = tmp_path / "w.jsonl"
     write_corpus(path, records)
-    with pytest.raises(YearOutOfWindow):
+    with pytest.raises(MalformedLine, match=r"outside window 2000\.\.2017"):
         load_corpus(path, scheme, (2000, 2017))
 
 
