@@ -23,6 +23,7 @@ from . import __version__
 from .corpus import default_scheme_path, iter_diagnostics, load_scheme, open_corpus
 from .errors import CareerTraceError, InvalidConfig, UndefinedRatio
 from .indicators import IndicatorEngine
+from .mobility import HOST_ATTRIBUTIONS
 from .pipeline import (
     ALL_METRICS,
     INDICATOR_HEADER,
@@ -33,7 +34,6 @@ from .pipeline import (
     Cache,
     Pipeline,
     RunConfig,
-    indicator_rows_to_table,
     load_run_config,
     moves_to_rows,
     read_config_text,
@@ -51,6 +51,7 @@ from .report import (
 )
 from .stocks import return_ratio, stock_lookup
 from .synth import ScenarioConfig, degrade, generate
+from .timeline import TIE_RULES
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -65,15 +66,17 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, value)
     if getattr(args, "intl_requires_distinct_authors", False):
         cfg.intl_requires_distinct_authors = True
-    if getattr(args, "metrics", None):
+    if getattr(args, "metrics", None) is not None:
         cfg.metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
+    if not cfg.metrics:
+        raise InvalidConfig(f"metrics must name at least one of: {', '.join(ALL_METRICS)}")
     unknown = set(cfg.metrics) - set(ALL_METRICS)
     if unknown:
         raise InvalidConfig(f"unknown metrics {sorted(unknown)}; known: {', '.join(ALL_METRICS)}")
-    if cfg.host_attribution not in ("first", "latest"):
-        raise InvalidConfig("host_attribution must be 'first' or 'latest'")
-    if cfg.tie_rule not in ("hysteresis", "label_order"):
-        raise InvalidConfig("tie_rule must be 'hysteresis' or 'label_order'")
+    if cfg.host_attribution not in HOST_ATTRIBUTIONS:
+        raise InvalidConfig(f"host_attribution must be {' or '.join(map(repr, HOST_ATTRIBUTIONS))}")
+    if cfg.tie_rule not in TIE_RULES:
+        raise InvalidConfig(f"tie_rule must be {' or '.join(map(repr, TIE_RULES))}")
     if cfg.grace_years < 0:
         raise InvalidConfig("grace_years must be >= 0")
     if (cfg.year_min is None) != (cfg.year_max is None):
@@ -112,10 +115,10 @@ def _add_common(parser: argparse.ArgumentParser, output: str | None = None) -> N
     parser.add_argument("--config", default=None, help="run configuration file (key = value)")
     parser.add_argument("--year-min", type=int, default=None, dest="year_min")
     parser.add_argument("--year-max", type=int, default=None, dest="year_max")
-    if output:
+    if output:  # commands that write tables build cacheable stages; validate does neither
         parser.add_argument("-o", "--output", required=True, help=output)
-    parser.add_argument("--no-cache", action="store_true", help="bypass the table cache")
-    parser.add_argument("--cache-dir", default=None, help="cache directory")
+        parser.add_argument("--no-cache", action="store_true", help="bypass the table cache")
+        parser.add_argument("--cache-dir", default=None, help="cache directory")
 
 
 def _add_home_opts(parser: argparse.ArgumentParser) -> None:
@@ -124,9 +127,9 @@ def _add_home_opts(parser: argparse.ArgumentParser) -> None:
                         help="observation horizon for the trailing grace rule")
     parser.add_argument("--grace", type=int, default=None, dest="grace_years",
                         help="trailing grace years before retirement")
-    parser.add_argument("--host-attribution", choices=("first", "latest"), default=None,
+    parser.add_argument("--host-attribution", choices=HOST_ATTRIBUTIONS, default=None,
                         dest="host_attribution")
-    parser.add_argument("--tie-rule", choices=("hysteresis", "label_order"), default=None,
+    parser.add_argument("--tie-rule", choices=TIE_RULES, default=None,
                         dest="tie_rule", help="dominant-region tie handling")
     parser.add_argument("--intl-requires-distinct-authors", action="store_true",
                         dest="intl_requires_distinct_authors")
@@ -145,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timelines", help="write the author-year position table")
     _add_common(p, output="output CSV file")
-    p.add_argument("--tie-rule", choices=("hysteresis", "label_order"), default=None,
+    p.add_argument("--tie-rule", choices=TIE_RULES, default=None,
                    dest="tie_rule", help="dominant-region tie handling")
 
     p = sub.add_parser("moves", help="write move and mobility-state tables")
@@ -265,8 +268,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
             ("direction", engine.direction_rows),
         ):
             if metric in want:
-                write_table(out_dir / f"{metric}.csv", INDICATOR_HEADER,
-                            indicator_rows_to_table(build_rows()))
+                write_table(out_dir / f"{metric}.csv", INDICATOR_HEADER, build_rows())
     if want & {"stocks", "ratio"}:
         cells = pipe.stock_cells()
         if "stocks" in want:
@@ -433,3 +435,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .corpus import Corpus, PublicationRecord, RegionScheme, regionalize
 from .errors import EmptyReference, MissingCohort, NoStateForYear
@@ -35,21 +35,7 @@ from .mobility import (
 CohortKey = tuple[str, int, str]
 
 
-@dataclass(slots=True)
-class CitationBaselines:
-    """Mean citation counts per (field, year, doc_type) cohort."""
-
-    expected: dict[CohortKey, float]
-    sizes: dict[CohortKey, int]
-
-    def cohort(self, field: str, year: int, doc_type: str) -> tuple[float, int]:
-        key = (field, year, doc_type)
-        if key not in self.expected:
-            raise MissingCohort(field, year, doc_type)
-        return self.expected[key], self.sizes[key]
-
-
-def citation_baselines(corpus: Corpus) -> CitationBaselines:
+def citation_baselines(corpus: Corpus) -> dict[CohortKey, float]:
     """Cohort means; a record with k fields joins each of its k cohorts."""
     totals: dict[CohortKey, int] = {}
     sizes: dict[CohortKey, int] = {}
@@ -58,11 +44,10 @@ def citation_baselines(corpus: Corpus) -> CitationBaselines:
             key = (f, rec.year, rec.doc_type)
             totals[key] = totals.get(key, 0) + rec.citation_count
             sizes[key] = sizes.get(key, 0) + 1
-    expected = {key: totals[key] / sizes[key] for key in totals}
-    return CitationBaselines(expected=expected, sizes=sizes)
+    return {key: totals[key] / sizes[key] for key in totals}
 
 
-def fwci(record: PublicationRecord, baselines: CitationBaselines) -> float:
+def fwci(record: PublicationRecord, baselines: Mapping[CohortKey, float]) -> float:
     """Citations over the mean of the record's field-cohort expectations.
 
     A zero denominator yields 0.0 for uncited records and the +inf sentinel
@@ -70,8 +55,10 @@ def fwci(record: PublicationRecord, baselines: CitationBaselines) -> float:
     """
     total = 0.0
     for f in record.field_codes:
-        expected, _ = baselines.cohort(f, record.year, record.doc_type)
-        total += expected
+        try:
+            total += baselines[(f, record.year, record.doc_type)]
+        except KeyError:
+            raise MissingCohort(f, record.year, record.doc_type) from None
     denom = total / len(record.field_codes)
     if denom == 0.0:
         return 0.0 if record.citation_count == 0 else math.inf
@@ -87,14 +74,12 @@ def nearest_rank_90th(values: list[float]) -> float:
 
 @dataclass(frozen=True, slots=True)
 class PubScore:
-    pub_id: str
     fwci: float
     top10_fwci: bool
     top10_cits: bool
-    zero_baseline: bool
 
 
-def top10_flags(corpus: Corpus, baselines: CitationBaselines) -> dict[str, PubScore]:
+def top10_flags(corpus: Corpus, baselines: Mapping[CohortKey, float]) -> dict[str, PubScore]:
     """Per-record FWCI plus strict top-decile flags within the year cohort.
 
     FWCI flags rank field-normalized scores pooled across fields; citation
@@ -115,31 +100,13 @@ def top10_flags(corpus: Corpus, baselines: CitationBaselines) -> dict[str, PubSc
     out: dict[str, PubScore] = {}
     for rec in corpus.records:
         score = scores[rec.pub_id]
-        sentinel = math.isinf(score)
         fwci_thr = fwci_thresholds.get(rec.year)
         out[rec.pub_id] = PubScore(
-            pub_id=rec.pub_id,
             fwci=score,
-            top10_fwci=(not sentinel and fwci_thr is not None and score > fwci_thr),
+            top10_fwci=(not math.isinf(score) and fwci_thr is not None and score > fwci_thr),
             top10_cits=rec.citation_count > cits_thresholds[rec.year],
-            zero_baseline=sentinel,
         )
     return out
-
-
-class StateIndex:
-    """Lookup of an author's mobility class per publication year."""
-
-    def __init__(self, states: Mapping[str, list[MobilityState]]):
-        self._by_author: dict[str, dict[int, MobilityClass]] = {
-            author: {st.year: st.klass for st in sts} for author, sts in states.items()
-        }
-
-    def class_at(self, author_id: str, year: int) -> MobilityClass:
-        try:
-            return self._by_author[author_id][year]
-        except KeyError:
-            raise NoStateForYear(author_id, year) from None
 
 
 def intl_copub(
@@ -171,8 +138,7 @@ def intl_copub(
     return True, pairs
 
 
-@dataclass(frozen=True, slots=True)
-class IndicatorRow:
+class IndicatorRow(NamedTuple):
     population: str
     year: int
     metric: str
@@ -205,9 +171,7 @@ class IndicatorEngine:
         self.scheme = corpus.scheme
         self.home = home
         self.require_distinct_authors = require_distinct_authors
-        self.index = StateIndex(states)
-        self.baselines = citation_baselines(corpus)
-        self.scores = top10_flags(corpus, self.baselines)
+        self.scores = top10_flags(corpus, citation_baselines(corpus))
         self.foreign = [r for r in self.scheme.labels if r != home]
         self.class_series = (
             ["DOM"]
@@ -216,7 +180,7 @@ class IndicatorEngine:
             + [f"ALL->{home}"]
         )
         self.all_series = ["WLD", home] + self.class_series
-        self._run()
+        self._run(states)
 
     def _series_of(self, klass: MobilityClass) -> tuple[tuple[str, bool], ...]:
         """Reporting series a class feeds, with use-whole-weight flag."""
@@ -229,9 +193,10 @@ class IndicatorEngine:
             return ((f"{klass.second}->{home}", False), (f"ALL->{home}", False))
         return ()
 
-    def _run(self) -> None:
+    def _run(self, states: Mapping[str, list[MobilityState]]) -> None:
         home = self.home
         scheme = self.scheme
+        classes = {author: {st.year: st.klass for st in sts} for author, sts in states.items()}
         series_cache: dict[MobilityClass, tuple[tuple[str, bool], ...]] = {}
         acc: dict[int, dict[str, list[float]]] = {}
         pair_acc: dict[tuple[str, str], dict[int, list[float]]] = {}  # [full, frac]
@@ -252,7 +217,10 @@ class IndicatorEngine:
                 home_share = auth_regions.get(home, 0.0) * auth_w
                 for region, w in auth_regions.items():
                     rec_region_w[region] = rec_region_w.get(region, 0.0) + w * auth_w
-                klass = self.index.class_at(a.author_id, year)
+                try:
+                    klass = classes[a.author_id][year]
+                except KeyError:
+                    raise NoStateForYear(a.author_id, year) from None
                 targets = series_cache.get(klass)
                 if targets is None:
                     targets = self._series_of(klass)

@@ -37,6 +37,7 @@ RETURNEE_RESIDENT = "ReturneeResident"
 RETURNEE_ABROAD = "ReturneeAbroad"
 
 _KINDS = (DOMESTIC, OVERSEAS, RETURNEE_RESIDENT, RETURNEE_ABROAD)
+HOST_ATTRIBUTIONS = ("first", "latest")
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,8 +138,9 @@ def classify(
     """
     if scheme is not None and home not in scheme.labels:
         raise HomeMismatch(home)
-    if host_attribution not in ("first", "latest"):
-        raise ValueError(f"host_attribution must be 'first' or 'latest', got {host_attribution!r}")
+    if host_attribution not in HOST_ATTRIBUTIONS:
+        raise ValueError(f"host_attribution must be {' or '.join(map(repr, HOST_ATTRIBUTIONS))}, "
+                         f"got {host_attribution!r}")
     inbound_by_year = {
         m.year: m for m in moves if m.to_region == home
     }

@@ -144,7 +144,7 @@ TIMELINE_HEADER = ["author_id", "year", "source_pub", "dominant", "weights", "or
 STATE_HEADER = ["author_id", "year", "class", "since_year"]
 MOVE_HEADER = ["author_id", "from", "to", "year"]
 STOCK_HEADER = ["class", "year", "preceding", "new_movement", "total"]
-INDICATOR_HEADER = ["population", "year", "metric", "counting", "value"]
+INDICATOR_HEADER = list(IndicatorRow._fields)
 
 
 def _format_weights(weights: dict[str, float], scheme: RegionScheme) -> str:
@@ -247,10 +247,6 @@ def rows_to_states(rows: list[list[str]]) -> dict[str, list[MobilityState]]:
 def stocks_to_rows(cells: list[StockCell]) -> list[list[object]]:
     """Rows under ``STOCK_HEADER``; the cache keeps the first four columns."""
     return [[c.class_key, c.year, c.preceding, c.new_movement, c.total] for c in cells]
-
-
-def indicator_rows_to_table(rows: list[IndicatorRow]) -> list[list[object]]:
-    return [[r.population, r.year, r.metric, r.counting, r.value] for r in rows]
 
 
 class Pipeline:

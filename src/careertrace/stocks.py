@@ -110,17 +110,13 @@ def stock_lookup(cells: Iterable[StockCell]) -> dict[tuple[str, int], StockCell]
 
 
 def return_ratio(
-    cells: Iterable[StockCell] | dict[tuple[str, int], StockCell],
-    home: str,
-    host: str,
-    year: int,
+    table: Mapping[tuple[str, int], StockCell], home: str, host: str, year: int
 ) -> float:
     """Overseas(home, host) stock divided by ReturneeResident(home, host) stock.
 
     Infinite when nobody has returned; undefined (raises) when both stocks
-    are empty.
+    are empty. ``table`` is a ``stock_lookup`` of the stock cells.
     """
-    table = cells if isinstance(cells, dict) else stock_lookup(cells)
     out_cell = table.get((overseas(home, host).key(), year))
     ret_cell = table.get((returnee_resident(home, host).key(), year))
     out_total = out_cell.total if out_cell else 0

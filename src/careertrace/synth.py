@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 from .corpus import Authorship, Corpus, PublicationRecord, RegionScheme, regionalize
 from .errors import InvalidConfig
-from .mobility import domestic, overseas, returnee_abroad, returnee_resident
+from .mobility import HOST_ATTRIBUTIONS, domestic, overseas, returnee_abroad, returnee_resident
 from .timeline import dominant_region
 
 
@@ -118,8 +118,9 @@ def validate_config(config: ScenarioConfig, scheme: RegionScheme) -> None:
     prob("same_region_preference", config.same_region_preference)
     if config.home not in labels:
         problems.append(f"home {config.home!r} is not a scheme region")
-    if config.host_attribution not in ("first", "latest"):
-        problems.append(f"host_attribution must be 'first' or 'latest', got {config.host_attribution!r}")
+    if config.host_attribution not in HOST_ATTRIBUTIONS:
+        problems.append(f"host_attribution must be {' or '.join(map(repr, HOST_ATTRIBUTIONS))}, "
+                        f"got {config.host_attribution!r}")
     if not config.origin_weights or any(w < 0 for w in config.origin_weights.values()):
         problems.append("origin_weights must be non-negative with positive total")
     elif sum(config.origin_weights.values()) <= 0:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 from .corpus import Corpus, RegionScheme, regionalize
 
+TIE_RULES = ("hysteresis", "label_order")
+
 
 @dataclass(frozen=True, slots=True)
 class YearPosition:
@@ -72,8 +74,8 @@ def build_timelines(corpus: Corpus, tie_rule: str = "hysteresis") -> dict[str, C
     is the position-defining one. ``tie_rule`` is "hysteresis" (default) or
     "label_order", which ignores the previous year when breaking ties.
     """
-    if tie_rule not in ("hysteresis", "label_order"):
-        raise ValueError(f"tie_rule must be 'hysteresis' or 'label_order', got {tie_rule!r}")
+    if tie_rule not in TIE_RULES:
+        raise ValueError(f"tie_rule must be {' or '.join(map(repr, TIE_RULES))}, got {tie_rule!r}")
     scheme = corpus.scheme
     # (author -> year -> (weights, source_pub)), years encountered ascending
     raw: dict[str, dict[int, tuple[dict[str, float], str]]] = {}

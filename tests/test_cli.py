@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,6 +130,21 @@ def test_validate_every_diagnostic_names_its_line(tmp_path, capsys, monkeypatch)
     )
 
 
+def test_module_entry_point_reports_bad_lines(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"nope": 1}\n', encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "careertrace.cli", "validate", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "line 1" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", [["--no-cache"], ["--cache-dir", "c"]])
+def test_validate_takes_no_cache_flags(small_corpus, flag):
+    assert run(["validate", str(small_corpus), *flag]) == 2
+
+
 def test_jobs_flag_is_a_usage_error(small_corpus, tmp_path):
     assert run(["moves", str(small_corpus), "-o", str(tmp_path / "out"), "--no-cache",
                 "--jobs", "2"]) == 2
@@ -236,6 +254,18 @@ def test_metric_selection(small_corpus, tmp_path, monkeypatch):
 def test_unknown_metric_fails(small_corpus, tmp_path):
     assert run(["indicators", str(small_corpus), "-o", str(tmp_path / "x"),
                 "--no-cache", "--metrics", "bogus"]) == 1
+
+
+@pytest.mark.parametrize("selection", [["--metrics", ","], ["--metrics", ""], ["--config", "run.cfg"]])
+def test_empty_metric_selection_fails(small_corpus, tmp_path, capsys, monkeypatch, selection):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("metrics =\n", encoding="utf-8")
+    out = tmp_path / "x"
+    assert run(["indicators", str(small_corpus), "-o", str(out), "--no-cache", *selection]) == 1
+    assert capsys.readouterr().err == (
+        "careertrace: error: metrics must name at least one of: "
+        "pp10, shares, intl, class_intl, direction, stocks, ratio\n")
+    assert not out.exists()
 
 
 def test_run_config_file_and_flag_precedence(small_corpus, tmp_path):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from careertrace.errors import HomeMismatch, NoStateForYear
-from careertrace.indicators import StateIndex
+from careertrace.indicators import IndicatorEngine
 from careertrace.mobility import (
     MobilityClass,
     classify,
@@ -162,25 +162,24 @@ def test_class_of_publication_attribution(scheme):
     ]
     corpus = corpus_of(*records)
     tl = build_timelines(corpus)["a1"]
-    index = StateIndex({"a1": classify(tl, detect_moves(tl), "CHN", scheme)})
+    states = {"a1": classify(tl, detect_moves(tl), "CHN", scheme)}
+    classes = {s.year: s.klass for s in states["a1"]}
     by_id = {r.pub_id: r for r in corpus.records}
-    assert index.class_at("a1", by_id["p3"].year) == returnee_resident("CHN", "USA")
-    assert index.class_at("a1", by_id["p4"].year) == returnee_resident("CHN", "USA")
-    assert index.class_at("a1", by_id["p1"].year) == domestic("CHN")
-    with pytest.raises(NoStateForYear):
-        index.class_at("a1", rec_to_record(scheme, 2099).year)
-
-
-def rec_to_record(scheme, year):
-    corpus = corpus_of(rec("px", year, [("a1", ["CHN"])]))
-    return corpus.records[0]
+    assert classes[by_id["p3"].year] == returnee_resident("CHN", "USA")
+    assert classes[by_id["p4"].year] == returnee_resident("CHN", "USA")
+    assert classes[by_id["p1"].year] == domestic("CHN")
+    # a record dated in a year the author has no state for is an error
+    later = corpus_of(*records, rec("px", 2099, [("a1", ["CHN"])]))
+    with pytest.raises(NoStateForYear) as exc:
+        IndicatorEngine(later, states, "CHN")
+    assert (exc.value.author_id, exc.value.year) == ("a1", 2099)
 
 
 def test_returnee_abroad_publication_not_returnee_output(scheme):
     tl, corpus = timeline_for(scheme, (2005, "DEU"), (2008, "CHN"), (2012, "DEU"))
-    index = StateIndex({"a1": classify(tl, detect_moves(tl), "CHN", scheme)})
+    classes = {s.year: s.klass for s in classify(tl, detect_moves(tl), "CHN", scheme)}
     by_year = {r.year: r for r in corpus.records}
-    assert index.class_at("a1", by_year[2012].year) == returnee_abroad("CHN", "EU28")
+    assert classes[by_year[2012].year] == returnee_abroad("CHN", "EU28")
 
 
 def test_class_key_round_trip():

@@ -222,14 +222,14 @@ def test_return_ratio_values():
 
 def test_return_ratio_zero_numerator():
     cells = [StockCell("ReturneeResident(CHN,USA)", 2017, 5, 0)]
-    assert return_ratio(cells, "CHN", "USA", 2017) == 0.0
+    assert return_ratio(stock_lookup(cells), "CHN", "USA", 2017) == 0.0
 
 
 def test_return_ratio_infinite_when_no_returnees():
     cells = [StockCell("Overseas(CHN,USA)", 2017, 5, 0)]
-    assert math.isinf(return_ratio(cells, "CHN", "USA", 2017))
+    assert math.isinf(return_ratio(stock_lookup(cells), "CHN", "USA", 2017))
 
 
 def test_return_ratio_undefined_when_both_empty():
     with pytest.raises(UndefinedRatio):
-        return_ratio([], "CHN", "USA", 2017)
+        return_ratio(stock_lookup([]), "CHN", "USA", 2017)
