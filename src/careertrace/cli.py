@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import gc
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import default_scheme_path, iter_diagnostics, load_scheme, open_corpus
-from .errors import CareerTraceError, InvalidConfig, UndefinedRatio
+from .errors import CareerTraceError, InvalidConfig, MalformedTable, UndefinedRatio
 from .indicators import IndicatorEngine
 from .mobility import HOST_ATTRIBUTIONS
 from .pipeline import (
@@ -61,7 +62,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, value)
     for key in ("home", "end_year", "grace_years", "host_attribution", "tie_rule",
                 "year_min", "year_max"):
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
     if getattr(args, "intl_requires_distinct_authors", False):
@@ -336,19 +337,37 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chart_indicator_table(header: list[str], rows: list[list[str]], out_dir: Path) -> list[str]:
+# column types of the tables report reads: indicator tables, then stocks.csv
+_INDICATOR_TYPES = (str, int, str, str, float)
+_STOCK_TYPES = (str, int, float, float, float)
+
+
+def _read_report_table(path: Path, types: tuple) -> tuple[list[str], list[list[str]], list[list]]:
+    """Header, text rows and the rows converted by ``types``; a table report
+    cannot read is one error naming its file and line."""
+    try:
+        header, rows = read_table(path)
+    except UnicodeDecodeError:
+        raise MalformedTable(f"{path}: not valid UTF-8") from None
+    values = []
+    for line_no, row in enumerate(rows, start=2):
+        if len(row) != len(types):
+            raise MalformedTable(f"{path}: line {line_no}: {len(row)} columns, expected {len(types)}")
+        try:
+            values.append([kind(text) for kind, text in zip(types, row)])
+        except ValueError as exc:
+            raise MalformedTable(f"{path}: line {line_no}: {exc}") from None
+    return header, rows, values
+
+
+def _chart_indicator_table(values: list[list], out_dir: Path) -> list[str]:
     """Line charts per (metric, counting) found in one indicator table."""
-    if not header:
-        return []
     written = []
     groups: dict[tuple[str, str], dict[str, list[tuple[float, float]]]] = {}
-    for population, year, metric, counting, value in rows:
-        v = float(value)
-        if math.isinf(v):
+    for population, year, metric, counting, value in values:
+        if math.isinf(value):
             continue
-        groups.setdefault((metric, counting), {}).setdefault(population, []).append(
-            (int(year), v)
-        )
+        groups.setdefault((metric, counting), {}).setdefault(population, []).append((year, value))
     for (metric, counting), series in sorted(groups.items()):
         name = f"{metric}_{counting}.svg"
         line_chart(out_dir / name, f"{metric} ({counting})", series)
@@ -359,7 +378,7 @@ def _chart_indicator_table(header: list[str], rows: list[list[str]], out_dir: Pa
 def cmd_report(args: argparse.Namespace) -> int:
     src = Path(args.directory)
     if not src.is_dir():
-        print(f"careertrace: {src} is not a directory", file=sys.stderr)
+        print(f"careertrace: error: {src} is not a directory", file=sys.stderr)
         return 1
     out_dir = Path(args.output) if args.output else src / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -369,16 +388,16 @@ def cmd_report(args: argparse.Namespace) -> int:
         path = src / f"{name}.csv"
         if not path.exists():
             continue
-        header, rows = read_table(path)
-        charts.extend(_chart_indicator_table(header, rows, out_dir))
+        header, rows, values = _read_report_table(path, _INDICATOR_TYPES)
+        charts.extend(_chart_indicator_table(values, out_dir))
         summary_parts.append(f"== {name} ==\n" + render_text_table(header, rows))
     stocks_path = src / "stocks.csv"
     if stocks_path.exists():
-        header, rows = read_table(stocks_path)
+        header, rows, values = _read_report_table(stocks_path, _STOCK_TYPES)
         summary_parts.append("== stocks ==\n" + render_text_table(header, rows))
         by_class: dict[str, dict[int, tuple[float, float]]] = {}
-        for class_key, year, preceding, new, _total in rows:
-            by_class.setdefault(class_key, {})[int(year)] = (float(preceding), float(new))
+        for class_key, year, preceding, new, _total in values:
+            by_class.setdefault(class_key, {})[year] = (preceding, new)
         for class_key in sorted(by_class):
             if not (class_key.startswith("Overseas(") or class_key.startswith("ReturneeResident(")):
                 continue
@@ -418,19 +437,27 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    # A command's records, positions, states and scores form no reference
+    # cycles and live until it ends, so the cyclic collector would only
+    # rescan them; reference counting frees everything else. The caller's
+    # collector state comes back as it was, because tests and the benchmark's
+    # traced run call run in-process.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except CareerTraceError as exc:
-        print(f"careertrace: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"careertrace: error: {exc}", file=sys.stderr)
-        return 1
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        try:
+            return _COMMANDS[args.command](args)
+        except (CareerTraceError, OSError) as exc:
+            print(f"careertrace: error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def main() -> None:

@@ -16,6 +16,10 @@ class MalformedLine(CareerTraceError):
         self.reason = reason
 
 
+class MalformedTable(CareerTraceError):
+    """A table ``report`` cannot read; the message names its file."""
+
+
 class SchemeError(CareerTraceError):
     """A region scheme violates its structural invariants."""
 

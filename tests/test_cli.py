@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import bruteforce as bf
+from careertrace import cli
 from careertrace.cli import run
 from careertrace.corpus import default_scheme
 from careertrace.indicators import IndicatorEngine
@@ -236,6 +238,29 @@ def test_indicators_and_report(small_corpus, tmp_path):
     report = out / "report"
     assert (report / "summary.txt").exists()
     assert list(report.glob("*.svg"))
+
+
+PP10_HEADER = b"population,year,metric,counting,value\n"
+STOCKS_HEADER = b"class,year,preceding,new_movement,total\n"
+
+
+@pytest.mark.parametrize("name, body, reason", [
+    ("pp10.csv", PP10_HEADER + b"WLD,2005,pp10_fwci,full,abc\n",
+     "line 2: could not convert string to float: 'abc'"),
+    ("pp10.csv", PP10_HEADER + b"WLD,2005,pp10_fwci,full,0.5\nWLD,2006,pp10_fwci\n",
+     "line 3: 3 columns, expected 5"),
+    ("pp10.csv", PP10_HEADER + b"WLD,2005,pp10_fwci,full,\xff\n", "not valid UTF-8"),
+    ("stocks.csv", STOCKS_HEADER + b"Domestic(CHN),2005,0\n", "line 2: 3 columns, expected 5"),
+    ("stocks.csv", STOCKS_HEADER + b"Domestic(CHN),20x5,0,1,1\n",
+     "line 2: invalid literal for int() with base 10: '20x5'"),
+], ids=["value", "short-row", "non-utf8", "stocks-short-row", "stocks-year"])
+def test_report_on_malformed_table_is_one_error_line(tmp_path, capsys, name, body, reason):
+    src = tmp_path / "ind"
+    src.mkdir()
+    path = src / name
+    path.write_bytes(body)
+    assert run(["report", str(src)]) == 1
+    assert capsys.readouterr().err == f"careertrace: error: {path}: {reason}\n"
 
 
 def test_metric_selection(small_corpus, tmp_path, monkeypatch):
@@ -547,3 +572,78 @@ def test_manifest_rerun_identical_except_timestamp(small_corpus, tmp_path):
         manifest.pop("timestamp")
         outs.append(manifest)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "{corpus}"], 0),
+    (["indicators", "{corpus}", "-o", "{out}", "--no-cache", "--metrics", "bogus"], 1),
+    (["validate"], 2),
+    (["validate", "{corpus}"], RuntimeError),
+])
+def test_run_restores_the_callers_collector_state(small_corpus, tmp_path, monkeypatch, capsys,
+                                                   enabled, argv, code):
+    """run turns the cyclic collector off for the command and gives the
+    caller back its state, whether the command succeeds, fails, is misused
+    or raises."""
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("escaped")
+
+    if code is RuntimeError:
+        monkeypatch.setitem(cli._COMMANDS, "validate", command)
+    argv = [a.format(corpus=small_corpus, out=tmp_path / "out") for a in argv]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is RuntimeError:
+            with pytest.raises(RuntimeError, match="escaped"):
+                run(argv)
+            assert seen == [False]
+        else:
+            assert run(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _garbage_after(argv: list[str]) -> int:
+    """Objects in reference cycles that one run leaves behind."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run(argv)
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("command", ["indicators", "stocks", "validate"])
+def test_cyclic_garbage_does_not_grow_with_the_corpus(tmp_path, command):
+    """run keeps the cyclic collector off, so a command must leave no cycles
+    per record or output row: only reference counting frees its data. The
+    garbage one run leaves is the same at a few hundred records as at ten
+    times that; the years grow with the records, so the stock table does too."""
+    garbage = []
+    for n in (300, 3000):
+        d = tmp_path / str(n)
+        d.mkdir()
+        corpus = d / "c.jsonl"
+        write_corpus(corpus, random_records(random.Random(5), n, years=(2000, 2000 + n // 30)))
+        bad = d / "bad.jsonl"
+        bad.write_text('{"nope": 1}\n' * n, encoding="utf-8")
+        argv = {
+            "indicators": ["indicators", str(corpus), "-o", str(d / "ind"), "--no-cache"],
+            "stocks": ["stocks", str(corpus), "-o", str(d / "s.csv"), "--cache-dir", str(d / "c")],
+            "validate": ["validate", str(bad)],
+        }[command]
+        _garbage_after(argv)  # warm-up; for stocks it also fills the cache the next run hits
+        garbage.append(_garbage_after(argv))
+    if command == "stocks":
+        manifest = json.loads((d / "s.csv.manifest.json").read_text())
+        assert {s["stage"]: s["cache"] for s in manifest["stages"]} == {"stocks": "hit"}
+    small, large = garbage
+    assert large <= small * 1.1, garbage

@@ -154,8 +154,10 @@ def test_report_on_partial_indicator_dir(tmp_path):
     assert (out / "report" / "summary.txt").exists()
 
 
-def test_report_on_missing_dir(tmp_path):
-    assert run(["report", str(tmp_path / "absent")]) == 1
+def test_report_on_missing_dir(tmp_path, capsys):
+    absent = tmp_path / "absent"
+    assert run(["report", str(absent)]) == 1
+    assert capsys.readouterr().err == f"careertrace: error: {absent} is not a directory\n"
 
 
 def test_nearest_rank_strict_count_within_cohort_granularity():
