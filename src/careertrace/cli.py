@@ -19,10 +19,11 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .corpus import default_scheme_path, iter_diagnostics, load_scheme, open_corpus
-from .errors import CareerTraceError, InvalidConfig, MalformedTable, UndefinedRatio
+from .errors import CareerTraceError, InvalidConfig, MalformedTable
 from .indicators import IndicatorEngine
 from .mobility import HOST_ATTRIBUTIONS
 from .pipeline import (
@@ -37,6 +38,7 @@ from .pipeline import (
     RunConfig,
     load_run_config,
     moves_to_rows,
+    parse_metrics,
     read_config_text,
     sha256_file,
     states_to_rows,
@@ -50,7 +52,7 @@ from .report import (
     stacked_bar_chart,
     write_table,
 )
-from .stocks import return_ratio, stock_lookup
+from .stocks import ratio_rows
 from .synth import ScenarioConfig, degrade, generate
 from .timeline import TIE_RULES
 
@@ -68,7 +70,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "intl_requires_distinct_authors", False):
         cfg.intl_requires_distinct_authors = True
     if getattr(args, "metrics", None) is not None:
-        cfg.metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
+        cfg.metrics = parse_metrics(args.metrics)
     if not cfg.metrics:
         raise InvalidConfig(f"metrics must name at least one of: {', '.join(ALL_METRICS)}")
     unknown = set(cfg.metrics) - set(ALL_METRICS)
@@ -275,19 +277,17 @@ def cmd_indicators(args: argparse.Namespace) -> int:
         if "stocks" in want:
             write_table(out_dir / "stocks.csv", STOCK_HEADER, stocks_to_rows(cells))
         if "ratio" in want:
-            lookup = stock_lookup(cells)
-            ratio_rows = []
-            years = sorted({c.year for c in cells})
-            for host in [r for r in pipe.scheme.labels if r != cfg.home]:
-                for year in years:
-                    try:
-                        value = return_ratio(lookup, cfg.home, host, year)
-                    except UndefinedRatio:
-                        continue
-                    ratio_rows.append([host, year, "overseas_returnee_ratio", "full", value])
-            write_table(out_dir / "ratio.csv", INDICATOR_HEADER, ratio_rows)
+            hosts = [r for r in pipe.scheme.labels if r != cfg.home]
+            write_table(out_dir / "ratio.csv", INDICATOR_HEADER, ratio_rows(cells, cfg.home, hosts))
     write_manifest(out_dir / "manifest.json", "indicators", cfg.as_dict(), pipe.inputs(), pipe.stages)
     return 0
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -315,15 +315,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             seed=config.seed,
         )
     out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        for line in corpus.dump_lines():
-            fh.write(line + "\n")
-    truth_path = Path(args.truth)
-    truth_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(truth_path, "w", encoding="utf-8", newline="") as fh:
-        for line in truth.dump_lines():
-            fh.write(line + "\n")
+    _write_lines(out, corpus.dump_lines())
+    _write_lines(Path(args.truth), truth.dump_lines())
     manifest_config = json.loads(config.to_json())
     manifest_config["gap_probability"] = args.gap_probability
     manifest_config["dual_affiliation_probability"] = args.dual_affiliation_probability

@@ -164,9 +164,6 @@ class Corpus:
     scheme: RegionScheme
     window: tuple[int, int]
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def dump_lines(self) -> Iterator[str]:
         """Canonical line serialization; independent of ingestion order."""
         for rec in self.records:

@@ -37,10 +37,6 @@ class NoStateForYear(CareerTraceError):
         self.year = year
 
 
-class UndefinedRatio(CareerTraceError):
-    """Both sides of a stock ratio are zero."""
-
-
 class EmptyReference(CareerTraceError):
     """The reference population of a share has zero weight."""
 

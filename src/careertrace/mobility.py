@@ -57,10 +57,6 @@ class MobilityClass:
             return f"{self.kind}({self.first})"
         return f"{self.kind}({self.first},{self.second})"
 
-    @property
-    def is_returnee(self) -> bool:
-        return self.kind in (RETURNEE_RESIDENT, RETURNEE_ABROAD)
-
     @staticmethod
     def parse_key(key: str) -> "MobilityClass":
         kind, _, rest = key.partition("(")

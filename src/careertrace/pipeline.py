@@ -23,6 +23,11 @@ from .timeline import CareerTimeline, YearPosition, build_timelines
 ALL_METRICS = ("pp10", "shares", "intl", "class_intl", "direction", "stocks", "ratio")
 
 
+def parse_metrics(text: str) -> tuple[str, ...]:
+    """The names in a comma-separated metric list, blanks dropped."""
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
 @dataclass
 class RunConfig:
     """Effective run configuration; file values are overridden by flags."""
@@ -80,7 +85,7 @@ def load_run_config(path: str | Path) -> dict:
                 raise InvalidConfig(f"{path}:{line_no}: {key} must be true/false")
             values[key] = _BOOL_VALUES[value.lower()]
         elif key == "metrics":
-            values[key] = tuple(m.strip() for m in value.split(",") if m.strip())
+            values[key] = parse_metrics(value)
         elif key in ("home", "host_attribution", "tie_rule"):
             values[key] = value
         else:

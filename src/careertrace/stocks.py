@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import UndefinedRatio
 from .mobility import MobilityState, overseas, returnee_resident
 from .timeline import CareerTimeline
 
@@ -105,24 +104,19 @@ def stock_table(
     return cells
 
 
-def stock_lookup(cells: Iterable[StockCell]) -> dict[tuple[str, int], StockCell]:
-    return {(c.class_key, c.year): c for c in cells}
-
-
-def return_ratio(
-    table: Mapping[tuple[str, int], StockCell], home: str, host: str, year: int
-) -> float:
-    """Overseas(home, host) stock divided by ReturneeResident(home, host) stock.
-
-    Infinite when nobody has returned; undefined (raises) when both stocks
-    are empty. ``table`` is a ``stock_lookup`` of the stock cells.
-    """
-    out_cell = table.get((overseas(home, host).key(), year))
-    ret_cell = table.get((returnee_resident(home, host).key(), year))
-    out_total = out_cell.total if out_cell else 0
-    ret_total = ret_cell.total if ret_cell else 0
-    if out_total == 0 and ret_total == 0:
-        raise UndefinedRatio(f"no {home}->{host} overseas or returnee stock in {year}")
-    if ret_total == 0:
-        return math.inf
-    return out_total / ret_total
+def ratio_rows(cells: Iterable[StockCell], home: str, hosts: Iterable[str]) -> list[list]:
+    """Overseas(home, host) stock over ReturneeResident(home, host) stock, one
+    ``[host, year, "overseas_returnee_ratio", "full", value]`` row per host and
+    stock year; ``math.inf`` when nobody has returned, no row when both are 0."""
+    totals = {(c.class_key, c.year): c.total for c in cells}
+    years = sorted({year for _, year in totals})
+    rows = []
+    for host in hosts:
+        out_key, ret_key = overseas(home, host).key(), returnee_resident(home, host).key()
+        for year in years:
+            out_total = totals.get((out_key, year), 0)
+            ret_total = totals.get((ret_key, year), 0)
+            if ret_total or out_total:
+                value = out_total / ret_total if ret_total else math.inf
+                rows.append([host, year, "overseas_returnee_ratio", "full", value])
+    return rows

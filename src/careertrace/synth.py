@@ -17,7 +17,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, asdict
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .corpus import Authorship, Corpus, PublicationRecord, RegionScheme, regionalize
 from .errors import InvalidConfig
@@ -190,22 +190,6 @@ class GroundTruth:
                 "retirement_year": t.retirement_year,
             }
             yield json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
-
-    @staticmethod
-    def parse_lines(lines: Iterable[str]) -> "GroundTruth":
-        authors: dict[str, AuthorTruth] = {}
-        for line in lines:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            authors[obj["author_id"]] = AuthorTruth(
-                author_id=obj["author_id"],
-                origin=obj["origin"],
-                moves=[tuple(m) for m in obj["moves"]],
-                classes={int(y): k for y, k in obj["classes"].items()},
-                retirement_year=obj["retirement_year"],
-            )
-        return GroundTruth(authors=authors)
 
 
 def _weighted_choice(rng: random.Random, items: list, weights: list[float]):

@@ -71,39 +71,26 @@ def build_timelines(corpus: Corpus, tie_rule: str = "hysteresis") -> dict[str, C
 
     Output is a pure function of the record set: corpus records are already
     in canonical order, so the first record seen for an (author, year) pair
-    is the position-defining one. ``tie_rule`` is "hysteresis" (default) or
-    "label_order", which ignores the previous year when breaking ties.
+    is the position-defining one and each author's years arrive ascending.
+    ``tie_rule`` is "hysteresis" (default) or "label_order", which ignores
+    the previous year when breaking ties.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"tie_rule must be {' or '.join(map(repr, TIE_RULES))}, got {tie_rule!r}")
     scheme = corpus.scheme
-    # (author -> year -> (weights, source_pub)), years encountered ascending
-    raw: dict[str, dict[int, tuple[dict[str, float], str]]] = {}
+    hysteresis = tie_rule == "hysteresis"
+    timelines: dict[str, CareerTimeline] = {}
     for rec in corpus.records:
         for a in rec.authorships:
-            years = raw.setdefault(a.author_id, {})
-            if rec.year not in years:
-                years[rec.year] = (regionalize(a.countries, scheme), rec.pub_id)
-
-    timelines: dict[str, CareerTimeline] = {}
-    for author_id, years in raw.items():
-        positions: list[YearPosition] = []
-        prev_dom: str | None = None
-        origin_ambiguous = False
-        for year in years:  # insertion order is ascending by construction
-            weights, source_pub = years[year]
-            dom = dominant_region(
-                weights, prev_dom if tie_rule == "hysteresis" else None, scheme
-            )
-            if not positions:
-                origin_ambiguous = _is_tied(weights)
-            positions.append(
-                YearPosition(year=year, weights=weights, source_pub=source_pub, dominant=dom)
-            )
-            prev_dom = dom
-        timelines[author_id] = CareerTimeline(
-            author_id=author_id,
-            positions=positions,
-            origin_ambiguous=origin_ambiguous,
-        )
+            tl = timelines.get(a.author_id)
+            if tl is not None and tl.positions[-1].year == rec.year:
+                continue
+            weights = regionalize(a.countries, scheme)
+            prev_dom = tl.positions[-1].dominant if tl is not None and hysteresis else None
+            pos = YearPosition(year=rec.year, weights=weights, source_pub=rec.pub_id,
+                               dominant=dominant_region(weights, prev_dom, scheme))
+            if tl is None:
+                timelines[a.author_id] = CareerTimeline(a.author_id, [pos], _is_tied(weights))
+            else:
+                tl.positions.append(pos)
     return timelines

@@ -71,8 +71,10 @@ def pick_dominant(weights: dict[str, float], prev: str | None, scheme: Scheme) -
     return tied[0]
 
 
-def timelines(records, scheme: Scheme):
-    """author -> list of (year, weights, source_pub, dominant), year ascending."""
+def timelines(records, scheme: Scheme, hysteresis: bool = True):
+    """author -> list of (year, weights, source_pub, dominant), year ascending.
+
+    Without ``hysteresis`` a tie ignores the previous year's dominant region."""
     best = first_pub_by_author_year(records)
     authors = sorted({a for a, _ in best})
     out = {}
@@ -83,7 +85,7 @@ def timelines(records, scheme: Scheme):
         for year in years:
             rec = best[(author, year)]
             weights = country_weights(author_countries(rec, author), scheme)
-            dom = pick_dominant(weights, prev, scheme)
+            dom = pick_dominant(weights, prev if hysteresis else None, scheme)
             positions.append((year, weights, rec["pub_id"], dom))
             prev = dom
         out[author] = positions
@@ -161,6 +163,22 @@ def stocks(all_positions, all_classes, year_range, grace: int = 2):
             else:
                 cell[0] += 1
     return {k: tuple(v) for k, v in cells.items()}
+
+
+def ratios(cells, home: str, hosts):
+    """ratio.csv rows from a ``stocks`` dict: [host, year, metric, counting,
+    overseas stock / resident-returnee stock], inf when nobody returned, no
+    row when both stocks are empty."""
+    out = []
+    for host in hosts:
+        for year in sorted({y for _key, y in cells}):
+            abroad = sum(cells.get((f"Overseas({home},{host})", year), (0, 0)))
+            returned = sum(cells.get((f"ReturneeResident({home},{host})", year), (0, 0)))
+            if abroad == 0 and returned == 0:
+                continue
+            value = math.inf if returned == 0 else abroad / returned
+            out.append([host, year, "overseas_returnee_ratio", "full", value])
+    return out
 
 
 def baselines(records):

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
 from careertrace import cli
@@ -449,25 +451,24 @@ def test_corrupt_cache_rebuilt(small_corpus, tmp_path, capsys):
     assert data_files(cold) == data_files(warm)
 
 
-def test_pipeline_determinism_under_shuffle(tmp_path):
-    rng = random.Random(77)
-    records = []
-    from conftest import random_records
-
-    records = random_records(rng, 150)
-    base = tmp_path / "in.jsonl"
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), data=st.data())
+def test_pipeline_determinism_under_shuffle(tmp_path_factory, seed, n, data):
+    """Every table of timelines, moves, stocks and indicators is the same bytes
+    on a rerun and for any line order of the corpus."""
+    records = random_records(random.Random(seed), n)
+    tmp = tmp_path_factory.mktemp("shuffle")
+    base, shuf = tmp / "in.jsonl", tmp / "shuf.jsonl"
     write_corpus(base, records)
-    shuffled = list(records)
-    rng.shuffle(shuffled)
-    shuf = tmp_path / "shuf.jsonl"
-    write_corpus(shuf, shuffled)
-
-    outs = []
-    for i, src in enumerate([base, base, shuf]):
-        out = tmp_path / f"run{i}"
-        assert run(["indicators", str(src), "-o", str(out), "--no-cache"]) == 0
-        outs.append(data_files(out))
-    assert outs[0] == outs[1] == outs[2]
+    write_corpus(shuf, data.draw(st.permutations(records)))
+    for command, output in (("timelines", "t.csv"), ("moves", "m"), ("stocks", "s.csv"),
+                            ("indicators", "i")):
+        outs = []
+        for i, src in enumerate([base, base, shuf]):
+            root = tmp / f"{command}{i}"
+            assert run([command, str(src), "-o", str(root / output), "--no-cache"]) == 0
+            outs.append(data_files(root))
+        assert outs[0] == outs[1] == outs[2], command
 
 
 def test_version_flag(capsys):

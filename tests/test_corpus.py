@@ -29,7 +29,7 @@ def test_parse_single_valid_line(scheme):
          '"authors":[{"id":"a1","countries":["CHN"]}]}'],
         scheme,
     )
-    assert len(corpus) == 1
+    assert len(corpus.records) == 1
     r = corpus.records[0]
     assert r.pub_id == "p1" and r.year == 2005 and r.seq == 0
     assert r.citation_count == 3

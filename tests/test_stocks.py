@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from careertrace.errors import UndefinedRatio
 from careertrace.mobility import classify, detect_moves
 from careertrace.stocks import (
     ACTIVE,
@@ -14,8 +13,7 @@ from careertrace.stocks import (
     RETIRED,
     StockCell,
     build_statuses,
-    return_ratio,
-    stock_lookup,
+    ratio_rows,
     stock_table,
 )
 from careertrace.timeline import build_timelines
@@ -208,28 +206,34 @@ def test_gap_years_keep_class_and_entry_year(scheme):
     assert ret == {2011: (0, 1), 2012: (1, 0), 2013: (1, 0), 2014: (1, 0), 2015: (1, 0)}
 
 
-def test_return_ratio_values():
+RATIO = "overseas_returnee_ratio"
+
+
+def test_ratio_rows_values():
     cells = [
         StockCell("Overseas(CHN,USA)", 2017, 10, 4),
         StockCell("ReturneeResident(CHN,USA)", 2017, 9, 1),
         StockCell("Overseas(CHN,EU28)", 2017, 5, 4),
         StockCell("ReturneeResident(CHN,EU28)", 2017, 8, 2),
     ]
-    table = stock_lookup(cells)
-    assert return_ratio(table, "CHN", "USA", 2017) == pytest.approx(1.4)
-    assert return_ratio(table, "CHN", "EU28", 2017) == pytest.approx(0.9)
+    assert ratio_rows(cells, "CHN", ["USA", "EU28"]) == [
+        ["USA", 2017, RATIO, "full", pytest.approx(1.4)],
+        ["EU28", 2017, RATIO, "full", pytest.approx(0.9)],
+    ]
 
 
-def test_return_ratio_zero_numerator():
+def test_ratio_rows_zero_numerator():
     cells = [StockCell("ReturneeResident(CHN,USA)", 2017, 5, 0)]
-    assert return_ratio(stock_lookup(cells), "CHN", "USA", 2017) == 0.0
+    assert ratio_rows(cells, "CHN", ["USA"]) == [["USA", 2017, RATIO, "full", 0.0]]
 
 
-def test_return_ratio_infinite_when_no_returnees():
+def test_ratio_rows_infinite_when_no_returnees():
     cells = [StockCell("Overseas(CHN,USA)", 2017, 5, 0)]
-    assert math.isinf(return_ratio(stock_lookup(cells), "CHN", "USA", 2017))
+    assert ratio_rows(cells, "CHN", ["USA"]) == [["USA", 2017, RATIO, "full", math.inf]]
 
 
-def test_return_ratio_undefined_when_both_empty():
-    with pytest.raises(UndefinedRatio):
-        return_ratio(stock_lookup([]), "CHN", "USA", 2017)
+def test_ratio_rows_omitted_when_both_empty():
+    # 2017 has stock, but none of it overseas in or returned from USA or EU28
+    cells = [StockCell("Domestic(CHN)", 2017, 3, 0), StockCell("Overseas(CHN,EU28)", 2018, 1, 0)]
+    assert ratio_rows(cells, "CHN", ["USA", "EU28"]) == [["EU28", 2018, RATIO, "full", math.inf]]
+    assert ratio_rows([], "CHN", ["USA"]) == []

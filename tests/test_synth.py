@@ -1,9 +1,11 @@
+import json
+
 import pytest
 
 from careertrace.corpus import parse_corpus
 from careertrace.errors import InvalidConfig
 from careertrace.mobility import classify, detect_moves
-from careertrace.synth import GroundTruth, ScenarioConfig, degrade, generate, validate_config
+from careertrace.synth import ScenarioConfig, degrade, generate, validate_config
 from careertrace.timeline import build_timelines
 
 
@@ -92,9 +94,15 @@ def test_truth_class_monotonicity(scheme):
 
 def test_truth_round_trip(scheme):
     _, truth = generate(ScenarioConfig(seed=8, n_authors=40), scheme)
-    text = list(truth.dump_lines())
-    again = GroundTruth.parse_lines(text)
-    assert list(again.dump_lines()) == text
+    dumped = [json.loads(line) for line in truth.dump_lines()]
+    assert [obj["author_id"] for obj in dumped] == sorted(truth.authors)
+    for obj in dumped:
+        t = truth.authors[obj["author_id"]]
+        assert set(obj) == {"author_id", "origin", "moves", "classes", "retirement_year"}
+        assert list(obj["classes"]) == [str(y) for y in sorted(t.classes)]
+        assert obj["classes"] == {str(y): k for y, k in t.classes.items()}
+        assert (obj["origin"], obj["retirement_year"]) == (t.origin, t.retirement_year)
+        assert [tuple(m) for m in obj["moves"]] == t.moves
 
 
 def test_degrade_zero_noise_is_identity(scheme):
