@@ -53,7 +53,6 @@ from .report import (
     write_table,
 )
 from .stocks import ratio_rows
-from .synth import ScenarioConfig, degrade, generate
 from .timeline import TIE_RULES
 
 
@@ -291,6 +290,8 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import ScenarioConfig, degrade, generate  # only this command needs it
+
     if args.config:
         text = read_config_text(args.config)
         try:

@@ -26,6 +26,7 @@ plain Overseas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .corpus import RegionScheme
 from .errors import HomeMismatch
@@ -36,7 +37,6 @@ OVERSEAS = "Overseas"
 RETURNEE_RESIDENT = "ReturneeResident"
 RETURNEE_ABROAD = "ReturneeAbroad"
 
-_KINDS = (DOMESTIC, OVERSEAS, RETURNEE_RESIDENT, RETURNEE_ABROAD)
 HOST_ATTRIBUTIONS = ("first", "latest")
 
 
@@ -60,28 +60,37 @@ class MobilityClass:
     @staticmethod
     def parse_key(key: str) -> "MobilityClass":
         kind, _, rest = key.partition("(")
-        if kind not in _KINDS or not rest.endswith(")"):
-            raise ValueError(f"not a mobility class key: {key!r}")
+        make = _MAKERS.get(kind)
         parts = rest[:-1].split(",")
-        if len(parts) == 1:
-            return MobilityClass(kind, parts[0])
-        return MobilityClass(kind, parts[0], parts[1])
+        if make is None or not rest.endswith(")") or len(parts) != (1 if kind == DOMESTIC else 2):
+            raise ValueError(f"not a mobility class key: {key!r}")
+        return make(*parts)
 
 
+# One shared object per argument tuple: a process builds a few dozen classes,
+# not one per position, and code holding only these may compare them with `is`.
+@cache
 def domestic(origin: str) -> MobilityClass:
     return MobilityClass(DOMESTIC, origin)
 
 
+@cache
 def overseas(origin: str, host: str) -> MobilityClass:
     return MobilityClass(OVERSEAS, origin, host)
 
 
+@cache
 def returnee_resident(home: str, host: str) -> MobilityClass:
     return MobilityClass(RETURNEE_RESIDENT, home, host)
 
 
+@cache
 def returnee_abroad(home: str, host: str) -> MobilityClass:
     return MobilityClass(RETURNEE_ABROAD, home, host)
+
+
+_MAKERS = {DOMESTIC: domestic, OVERSEAS: overseas,
+           RETURNEE_RESIDENT: returnee_resident, RETURNEE_ABROAD: returnee_abroad}
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,7 +169,7 @@ def classify(
             klass = domestic(origin)
         else:
             klass = overseas(origin, dom)
-        if klass != prev_class:
+        if klass is not prev_class:
             since = pos.year
             prev_class = klass
         states.append(

@@ -167,44 +167,38 @@ def _parse_weights(text: str) -> dict[str, float]:
 def timelines_to_rows(
     timelines: dict[str, CareerTimeline], scheme: RegionScheme
 ) -> list[list[str]]:
+    # positions share weights dicts (one per country tuple), and the timelines
+    # keep each alive for the whole call, so each is formatted once by identity
+    texts: dict[int, str] = {}
     rows = []
     for author_id in sorted(timelines):
         tl = timelines[author_id]
+        ambiguous = "1" if tl.origin_ambiguous else "0"
         for pos in tl.positions:
-            rows.append(
-                [
-                    author_id,
-                    str(pos.year),
-                    pos.source_pub,
-                    pos.dominant,
-                    _format_weights(pos.weights, scheme),
-                    "1" if tl.origin_ambiguous else "0",
-                ]
-            )
+            text = texts.get(id(pos.weights))
+            if text is None:
+                text = texts[id(pos.weights)] = _format_weights(pos.weights, scheme)
+            rows.append([author_id, str(pos.year), pos.source_pub, pos.dominant, text, ambiguous])
     return rows
 
 
 def rows_to_timelines(rows: list[list[str]]) -> dict[str, CareerTimeline]:
-    grouped: dict[str, list[list[str]]] = {}
-    for row in rows:
-        grouped.setdefault(row[0], []).append(row)
+    """Timelines decoded from rows in ``timelines_to_rows`` order (by author,
+    then year). Positions with the same weights text share one dict, which
+    must not be mutated (as with ``regionalize``)."""
+    weights_of: dict[str, dict[str, float]] = {}
     out: dict[str, CareerTimeline] = {}
-    for author_id, author_rows in grouped.items():
-        author_rows.sort(key=lambda r: int(r[1]))
-        positions = [
-            YearPosition(
-                year=int(r[1]),
-                weights=_parse_weights(r[4]),
-                source_pub=r[2],
-                dominant=r[3],
-            )
-            for r in author_rows
-        ]
-        out[author_id] = CareerTimeline(
-            author_id=author_id,
-            positions=positions,
-            origin_ambiguous=author_rows[0][5] == "1",
-        )
+    for author_id, year, source_pub, dominant, text, ambiguous in rows:
+        weights = weights_of.get(text)
+        if weights is None:
+            weights = weights_of[text] = _parse_weights(text)
+        pos = YearPosition(year=int(year), weights=weights, source_pub=source_pub,
+                           dominant=dominant)
+        tl = out.get(author_id)
+        if tl is None:
+            out[author_id] = CareerTimeline(author_id, [pos], ambiguous == "1")
+        else:
+            tl.positions.append(pos)
     return out
 
 
@@ -226,26 +220,30 @@ def rows_to_moves(rows: list[list[str]]) -> dict[str, list[MoveEvent]]:
 
 
 def states_to_rows(states: dict[str, list[MobilityState]]) -> list[list[str]]:
+    # classes are interned, so each distinct one is keyed once by identity
+    keys: dict[int, str] = {}
     rows = []
     for author_id in sorted(states):
         for st in states[author_id]:
-            rows.append([author_id, str(st.year), st.klass.key(), str(st.since_year)])
+            key = keys.get(id(st.klass))
+            if key is None:
+                key = keys[id(st.klass)] = st.klass.key()
+            rows.append([author_id, str(st.year), key, str(st.since_year)])
     return rows
 
 
 def rows_to_states(rows: list[list[str]]) -> dict[str, list[MobilityState]]:
+    """States decoded from rows in ``states_to_rows`` order (by author, then year)."""
+    classes: dict[str, MobilityClass] = {}
     out: dict[str, list[MobilityState]] = {}
-    for row in rows:
-        out.setdefault(row[0], []).append(
-            MobilityState(
-                author_id=row[0],
-                year=int(row[1]),
-                klass=MobilityClass.parse_key(row[2]),
-                since_year=int(row[3]),
-            )
+    for author_id, year, key, since_year in rows:
+        klass = classes.get(key)
+        if klass is None:
+            klass = classes[key] = MobilityClass.parse_key(key)
+        out.setdefault(author_id, []).append(
+            MobilityState(author_id=author_id, year=int(year), klass=klass,
+                          since_year=int(since_year))
         )
-    for sts in out.values():
-        sts.sort(key=lambda s: s.year)
     return out
 
 

@@ -8,7 +8,6 @@ stable column order. Charts are self-contained SVG files written directly
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -18,20 +17,13 @@ PALETTE = [
 ]
 
 
-def format_value(v: object) -> str:
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
-        return repr(v)
-    return str(v)
-
-
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """One CSV table; the csv module writes floats as their shortest round-trip
+    ``repr`` (so infinities as ``inf``/``-inf``) and other values with ``str``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        writer.writerows(rows)
 
 
 def read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:

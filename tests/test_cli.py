@@ -144,6 +144,16 @@ def test_module_entry_point_reports_bad_lines(tmp_path):
     assert "line 1" in proc.stderr
 
 
+def test_cli_import_leaves_synth_unloaded():
+    """Only the synth command imports the generator, so no other command pays for it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys, careertrace.cli; print(sorted(m for m in sys.modules if 'synth' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("flag", [["--no-cache"], ["--cache-dir", "c"]])
 def test_validate_takes_no_cache_flags(small_corpus, flag):
     assert run(["validate", str(small_corpus), *flag]) == 2

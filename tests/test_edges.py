@@ -11,6 +11,7 @@ from careertrace.cli import run
 from careertrace.corpus import load_corpus, parse_corpus
 from careertrace.errors import MalformedLine
 from careertrace.indicators import nearest_rank_90th
+from careertrace.report import write_table
 
 from conftest import lines, rec
 
@@ -170,3 +171,15 @@ def test_nearest_rank_strict_count_within_cohort_granularity():
         flagged = sum(1 for v in values if v > threshold)
         assert flagged == n - math.ceil(0.9 * n)
         assert abs(flagged / n - 0.10) <= 1.0 / n
+
+
+def test_write_table_golden_bytes(tmp_path):
+    """Strings are quoted only where CSV needs it, other values written with
+    ``str``, floats as their shortest round-trip repr, infinities with sign."""
+    path = tmp_path / "t.csv"
+    write_table(path, ["text", "count", "sum", "tiny", "up", "down"],
+                [['x, "y"\nz', 7, 0.1 + 0.2, 1e-300, math.inf, -math.inf]])
+    assert path.read_bytes() == (
+        b'text,count,sum,tiny,up,down\n'
+        b'"x, ""y""\nz",7,0.30000000000000004,1e-300,inf,-inf\n'
+    )

@@ -193,4 +193,11 @@ def test_class_key_round_trip():
         returnee_resident("CHN", "EU28"),
         returnee_abroad("CHN", "OTHER"),
     ):
-        assert MobilityClass.parse_key(klass.key()) == klass
+        assert MobilityClass.parse_key(klass.key()) is klass
+
+
+@pytest.mark.parametrize("key", ["Domestic(CHN,USA)", "Overseas(CHN)", "Overseas(CHN,USA,EU28)",
+                                 "Returnee(CHN,USA)", "Domestic(CHN", "Domestic"])
+def test_class_key_rejects_malformed(key):
+    with pytest.raises(ValueError, match="not a mobility class key"):
+        MobilityClass.parse_key(key)

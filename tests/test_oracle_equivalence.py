@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from careertrace.corpus import default_scheme, parse_corpus
-from careertrace.mobility import classify, detect_moves
+from careertrace.mobility import (
+    DOMESTIC,
+    HOST_ATTRIBUTIONS,
+    OVERSEAS,
+    classify,
+    detect_moves,
+)
 from careertrace.stocks import build_statuses, ratio_rows, stock_table
 from careertrace.synth import ScenarioConfig, generate
 from careertrace.timeline import build_timelines
@@ -79,3 +85,33 @@ def test_label_order_timelines_match_oracle(seed):
         a: [(p.year, p.source_pub, p.dominant) for p in tl.positions]
         for a, tl in timelines.items()
     } == {a: [(y, pub, dom) for y, _w, pub, dom in positions] for a, positions in expected.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    home=st.sampled_from(default_scheme().labels),
+    host_attribution=st.sampled_from(HOST_ATTRIBUTIONS),
+)
+def test_moves_and_classes_match_oracle(seed, home, host_attribution):
+    """Moves and classes equal the oracle's under either host attribution; every
+    move joins two consecutive positions (A->B->C never gives A->C), and once a
+    returnee, an author never reverts to Domestic or Overseas."""
+    corpus_lines = [json.dumps(r) for r in random_records(random.Random(seed), 80)]
+    scheme = default_scheme()
+    timelines = build_timelines(parse_corpus(corpus_lines, scheme))
+    bf_timelines = bf.timelines(bf.parse_records(corpus_lines), oracle_scheme(scheme))
+    for author, tl in timelines.items():
+        positions = bf_timelines[author]
+        moves = detect_moves(tl)
+        got = [(m.from_region, m.to_region, m.year) for m in moves]
+        assert got == bf.moves(positions), author
+        steps = {(p.dominant, q.dominant, q.year) for p, q in zip(tl.positions, tl.positions[1:])}
+        assert set(got) <= steps, author
+
+        states = classify(tl, moves, home, scheme, host_attribution)
+        assert {s.year: (s.klass.key(), s.since_year) for s in states} == bf.classes(
+            positions, bf.moves(positions), home, host_attribution), author
+        kinds = [s.klass.kind for s in states]
+        returned = [k not in (DOMESTIC, OVERSEAS) for k in kinds]
+        assert returned == sorted(returned), author

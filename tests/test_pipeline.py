@@ -1,0 +1,77 @@
+"""The stage-row codecs behind the table cache: each stage survives a round
+trip through its rows, and the decoders share what they can."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from careertrace.corpus import default_scheme, parse_corpus
+from careertrace.mobility import (
+    DOMESTIC,
+    HOST_ATTRIBUTIONS,
+    OVERSEAS,
+    RETURNEE_ABROAD,
+    RETURNEE_RESIDENT,
+    classify,
+    detect_moves,
+    domestic,
+    overseas,
+    returnee_abroad,
+    returnee_resident,
+)
+from careertrace.pipeline import (
+    moves_to_rows,
+    rows_to_moves,
+    rows_to_states,
+    rows_to_timelines,
+    states_to_rows,
+    timelines_to_rows,
+)
+from careertrace.timeline import TIE_RULES, build_timelines
+
+from conftest import lines, random_records
+
+MAKERS = {DOMESTIC: domestic, OVERSEAS: overseas,
+          RETURNEE_RESIDENT: returnee_resident, RETURNEE_ABROAD: returnee_abroad}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    home=st.sampled_from(default_scheme().labels),
+    tie_rule=st.sampled_from(TIE_RULES),
+    host_attribution=st.sampled_from(HOST_ATTRIBUTIONS),
+)
+def test_stage_codecs_round_trip(seed, home, tie_rule, host_attribution):
+    """A quarter of random authorships list two countries, so positions carry
+    multi-region weights and ties under both rules."""
+    scheme = default_scheme()
+    corpus = parse_corpus(lines(*random_records(random.Random(seed), 60)), scheme)
+    timelines = build_timelines(corpus, tie_rule)
+    moves = {a: detect_moves(tl) for a, tl in timelines.items()}
+    states = {a: classify(tl, moves[a], home, scheme, host_attribution)
+              for a, tl in timelines.items()}
+
+    rows = timelines_to_rows(timelines, scheme)
+    decoded = rows_to_timelines(rows)
+    assert decoded == timelines
+    assert timelines_to_rows(decoded, scheme) == rows
+    weights_of = {}
+    positions = [pos for a in sorted(decoded) for pos in decoded[a].positions]
+    assert len(positions) == len(rows)
+    for pos, row in zip(positions, rows):
+        assert weights_of.setdefault(row[4], pos.weights) is pos.weights
+
+    rows = moves_to_rows(moves)
+    assert rows_to_moves(rows) == {a: mvs for a, mvs in moves.items() if mvs}
+    assert moves_to_rows(rows_to_moves(rows)) == rows
+
+    rows = states_to_rows(states)
+    decoded_states = rows_to_states(rows)
+    assert decoded_states == states
+    assert states_to_rows(decoded_states) == rows
+    for sts in decoded_states.values():
+        for s in sts:
+            k = s.klass
+            assert k is MAKERS[k.kind](*((k.first,) if k.second is None else (k.first, k.second)))
