@@ -72,7 +72,7 @@ def nearest_rank_90th(values: list[float]) -> float:
     return ordered[rank - 1]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PubScore:
     fwci: float
     top10_fwci: bool

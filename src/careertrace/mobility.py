@@ -93,7 +93,7 @@ _MAKERS = {DOMESTIC: domestic, OVERSEAS: overseas,
            RETURNEE_RESIDENT: returnee_resident, RETURNEE_ABROAD: returnee_abroad}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MoveEvent:
     author_id: str
     from_region: str
@@ -101,7 +101,7 @@ class MoveEvent:
     year: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MobilityState:
     author_id: str
     year: int

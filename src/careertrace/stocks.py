@@ -52,7 +52,7 @@ def build_statuses(
     return statuses
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StockCell:
     class_key: str
     year: int

@@ -14,7 +14,7 @@ from .corpus import Corpus, RegionScheme, regionalize
 TIE_RULES = ("hysteresis", "label_order")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class YearPosition:
     year: int
     weights: dict[str, float]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from careertrace import cli
 from careertrace.cli import run
-from careertrace.corpus import default_scheme
+from careertrace.corpus import default_scheme, default_scheme_path
 from careertrace.indicators import IndicatorEngine
 from careertrace.report import read_table
 
@@ -533,6 +533,43 @@ def test_bad_scheme_file_exit_one(tmp_path):
     corpus = tmp_path / "c.jsonl"
     write_corpus(corpus, [rec("p0", 2005, [("a1", ["CHN"])])])
     assert run(["validate", str(corpus), "--scheme", str(scheme_path)]) == 1
+
+
+def _scheme_renaming(path: Path, old: str, new: str) -> Path:
+    """The default scheme with label ``old`` (a region or the catch-all) renamed ``new``."""
+    scheme = json.loads(default_scheme_path().read_text(encoding="utf-8"))
+    if old in scheme["regions"]:
+        scheme["regions"] = {new if k == old else k: v for k, v in scheme["regions"].items()}
+    else:
+        scheme["other_label"] = new
+    scheme["label_order"] = [new if k == old else k for k in scheme["label_order"]]
+    path.write_text(json.dumps(scheme), encoding="utf-8")
+    return path
+
+
+# Each label would break an output if accepted: WLD as home writes world_share
+# 1.0, DOM as home and ALL abroad name a second series after an existing one,
+# and a separator in a label passes the cold run, then fails to decode from the
+# cache on the warm one.
+@pytest.mark.parametrize("old, label, argv", [
+    ("CHN", "WLD", ["indicators", "--home", "WLD", "--metrics", "shares"]),
+    ("CHN", "DOM", ["indicators", "--home", "DOM", "--metrics", "shares"]),
+    ("EU28", "ALL", ["indicators", "--metrics", "shares"]),
+    ("USA", "US,A", ["moves"]),
+    ("USA", "US|A", ["timelines"]),
+    ("OTHER", "WLD", ["indicators", "--home", "WLD", "--metrics", "shares"]),
+], ids=["home-WLD", "home-DOM", "region-ALL", "comma", "pipe", "other-WLD"])
+def test_scheme_label_outputs_cannot_carry_exit_one(small_corpus, tmp_path, capsys,
+                                                    old, label, argv):
+    scheme_path = _scheme_renaming(tmp_path / "scheme.json", old, label)
+    out = tmp_path / "out"
+    for _ in range(2):  # cold, then warm cache
+        assert run([argv[0], str(small_corpus), "-o", str(out), "--scheme", str(scheme_path),
+                    "--cache-dir", str(tmp_path / "cache"), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"careertrace: error: region label {label!r} ")
+        assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_non_utf8_scheme_file_exit_one(small_corpus, tmp_path, capsys):

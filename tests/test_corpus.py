@@ -360,6 +360,11 @@ def test_scheme_rejects_duplicate_label_order():
         RegionScheme({"A": ["CHN"]}, ["A", "A", "OTHER"])
 
 
+def test_scheme_accepts_labels_of_letters_digits_and_underscores():
+    scheme = RegionScheme({"EU_28": ["DEU"], "G7x2": ["USA"]}, ["G7x2", "EU_28", "rest"], "rest")
+    assert scheme.labels == ("G7x2", "EU_28", "rest")
+
+
 def test_default_scheme_eu28_has_28_members():
     scheme = default_scheme()
     assert len(scheme.countries_of("EU28")) == 28

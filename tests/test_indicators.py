@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from careertrace.corpus import regionalize
+import bruteforce as bf
+from careertrace.corpus import default_scheme, parse_corpus, regionalize
 from careertrace.errors import EmptyReference, MissingCohort
 from careertrace.indicators import (
     IndicatorEngine,
@@ -353,6 +356,39 @@ def test_home_output_partitions_across_classes(scheme):
         if r.metric == "world_share" and r.counting == "frac":
             n_year = sum(1 for rec_ in corpus.records if rec_.year == r.year)
             assert abs(r.value * n_year - home_by_year[r.year]) < 1e-9
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80))
+def test_fractional_weights_split_each_record_once(seed, n):
+    """A record's unit weight splits over its authorships, then over each
+    authorship's countries: in every year the weights sum to the oracle's
+    record count, and the frac world shares of all home regions sum to 1."""
+    scheme = default_scheme()
+    corpus_lines = lines(*random_records(random.Random(seed), n))
+    corpus = parse_corpus(corpus_lines, scheme)
+    count: dict[int, int] = {}
+    for record in bf.parse_records(corpus_lines):
+        count[record["year"]] = count.get(record["year"], 0) + 1
+    weight: dict[int, float] = {}
+    for record in corpus.records:
+        weight[record.year] = weight.get(record.year, 0.0) + sum(
+            region_weights_of(record, scheme).values())
+    assert weight.keys() == count.keys()
+    for year, n_year in count.items():
+        assert abs(weight[year] - n_year) < 1e-9, year
+
+    timelines = build_timelines(corpus)
+    moves = {a: detect_moves(tl) for a, tl in timelines.items()}
+    world: dict[int, float] = {}
+    for home in scheme.labels:
+        states = {a: classify(tl, moves[a], home, scheme) for a, tl in timelines.items()}
+        for r in IndicatorEngine(corpus, states, home).share_rows():
+            if r.metric == "world_share" and r.counting == "frac":
+                world[r.year] = world.get(r.year, 0.0) + r.value
+    assert world.keys() == count.keys()
+    for year, share in world.items():
+        assert abs(share - 1.0) < 1e-9, year
 
 
 def test_engine_matches_oracle_on_random_corpus(scheme):

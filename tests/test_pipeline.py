@@ -1,12 +1,16 @@
 """The stage-row codecs behind the table cache: each stage survives a round
-trip through its rows, and the decoders share what they can."""
+trip through its rows, and the decoders share what they can. No stage or
+codec writes to the records, timelines, moves or states it reads."""
 
+import copy
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from careertrace.corpus import default_scheme, parse_corpus
+from careertrace.indicators import IndicatorEngine
 from careertrace.mobility import (
     DOMESTIC,
     HOST_ATTRIBUTIONS,
@@ -28,6 +32,7 @@ from careertrace.pipeline import (
     states_to_rows,
     timelines_to_rows,
 )
+from careertrace.stocks import build_statuses, stock_table
 from careertrace.timeline import TIE_RULES, build_timelines
 
 from conftest import lines, random_records
@@ -75,3 +80,44 @@ def test_stage_codecs_round_trip(seed, home, tie_rule, host_attribution):
         for s in sts:
             k = s.klass
             assert k is MAKERS[k.kind](*((k.first,) if k.second is None else (k.first, k.second)))
+
+
+def _positions(timelines):
+    return [pos for a in sorted(timelines) for pos in timelines[a].positions]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stages_leave_their_inputs_unmutated(seed):
+    """Per-record objects are not frozen, so nothing may write to them once
+    built: every stage and codec leaves its inputs equal to a deep copy taken
+    before, and positions keep the weights dicts they shared."""
+    scheme = default_scheme()
+    corpus = parse_corpus(lines(*random_records(random.Random(seed), 80)), scheme)
+    timelines = build_timelines(corpus)
+    moves = {a: detect_moves(tl) for a, tl in timelines.items()}
+    states = {a: classify(tl, moves[a], "CHN", scheme) for a, tl in timelines.items()}
+    inputs = (corpus.records, timelines, moves, states)
+    before = copy.deepcopy(inputs)
+    decoded = rows_to_timelines(timelines_to_rows(timelines, scheme))
+    decoded_before = copy.deepcopy(decoded)
+    weights_ids = [id(pos.weights) for tls in (timelines, decoded) for pos in _positions(tls)]
+
+    for tls in (timelines, decoded):
+        for host_attribution in HOST_ATTRIBUTIONS:
+            for a, tl in tls.items():
+                classify(tl, moves[a], "USA", scheme, host_attribution)
+        stock_table(states, build_statuses(tls, corpus.window), corpus.window)
+        rows_to_timelines(timelines_to_rows(tls, scheme))
+    engine = IndicatorEngine(corpus, states, "CHN")
+    for family in (engine.pp10_rows, engine.share_rows, engine.intl_rows,
+                   engine.class_intl_rows, engine.direction_rows):
+        family()
+    rows_to_moves(moves_to_rows(moves))
+    rows_to_states(states_to_rows(states))
+
+    assert inputs == before
+    assert decoded == decoded_before
+    assert [id(pos.weights) for tls in (timelines, decoded) for pos in _positions(tls)] == weights_ids
+    shared = {}
+    for pos in _positions(decoded):
+        assert shared.setdefault(tuple(pos.weights.items()), pos.weights) is pos.weights
