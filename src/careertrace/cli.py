@@ -24,11 +24,9 @@ from typing import Iterable
 from . import __version__
 from .corpus import default_scheme_path, iter_diagnostics, load_scheme, open_corpus
 from .errors import CareerTraceError, InvalidConfig, MalformedTable
-from .indicators import IndicatorEngine
 from .mobility import HOST_ATTRIBUTIONS
 from .pipeline import (
     ALL_METRICS,
-    INDICATOR_HEADER,
     MOVE_HEADER,
     STATE_HEADER,
     STOCK_HEADER,
@@ -52,7 +50,6 @@ from .report import (
     stacked_bar_chart,
     write_table,
 )
-from .stocks import ratio_rows
 from .timeline import TIE_RULES
 
 
@@ -252,6 +249,8 @@ def cmd_stocks(args: argparse.Namespace) -> int:
 
 
 def cmd_indicators(args: argparse.Namespace) -> int:
+    from .indicators import INDICATOR_HEADER, IndicatorEngine, ratio_rows  # only this command needs it
+
     pipe = _make_pipeline(args)
     cfg = pipe.cfg
     out_dir = Path(args.output)

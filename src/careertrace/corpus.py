@@ -128,11 +128,15 @@ def load_scheme(path: str | Path) -> RegionScheme:
             raise SchemeError(f"{path}: not valid UTF-8") from None
     if not isinstance(raw, dict) or "regions" not in raw or "label_order" not in raw:
         raise SchemeError(f"{path}: scheme file needs 'regions' and 'label_order'")
-    return RegionScheme(
-        regions=raw["regions"],
-        label_order=raw["label_order"],
-        other_label=raw.get("other_label", "OTHER"),
-    )
+    regions, order = raw["regions"], raw["label_order"]
+    if not isinstance(regions, dict) or not all(
+        isinstance(codes, list) and all(isinstance(c, str) for c in codes)
+        for codes in regions.values()
+    ):
+        raise SchemeError(f"{path}: 'regions' must map each label to an array of country codes")
+    if not isinstance(order, list) or not all(isinstance(label, str) for label in order):
+        raise SchemeError(f"{path}: 'label_order' must be an array of region labels")
+    return RegionScheme(regions, order, raw.get("other_label", "OTHER"))
 
 
 def default_scheme() -> RegionScheme:

@@ -41,12 +41,6 @@ class EmptyReference(CareerTraceError):
     """The reference population of a share has zero weight."""
 
 
-class MissingCohort(CareerTraceError):
-    def __init__(self, field: str, year: int, doc_type: str):
-        super().__init__(f"no citation baseline for cohort ({field}, {year}, {doc_type})")
-        self.cohort = (field, year, doc_type)
-
-
 class InvalidConfig(CareerTraceError):
     """A scenario or run configuration failed validation."""
 

@@ -1,4 +1,4 @@
-"""Citation-impact and collaboration indicators.
+"""Citation-impact, collaboration and stock-ratio indicators, in one row shape.
 
 Counting conventions used throughout:
 
@@ -20,17 +20,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import Corpus, PublicationRecord, RegionScheme, regionalize
-from .errors import EmptyReference, MissingCohort, NoStateForYear
+from .errors import EmptyReference, NoStateForYear
 from .mobility import (
     DOMESTIC,
     OVERSEAS,
     RETURNEE_RESIDENT,
     MobilityClass,
     MobilityState,
+    overseas,
+    returnee_resident,
 )
+from .stocks import StockCell
 
 CohortKey = tuple[str, int, str]
 
@@ -50,19 +53,14 @@ def citation_baselines(corpus: Corpus) -> dict[CohortKey, float]:
 def fwci(record: PublicationRecord, baselines: Mapping[CohortKey, float]) -> float:
     """Citations over the mean of the record's field-cohort expectations.
 
-    A zero denominator yields 0.0 for uncited records and the +inf sentinel
-    otherwise; sentinel records are excluded from top-10% ranking.
+    A zero denominator yields 0.0: every cohort of the record then has a zero
+    mean, so the record itself is uncited.
     """
     total = 0.0
     for f in record.field_codes:
-        try:
-            total += baselines[(f, record.year, record.doc_type)]
-        except KeyError:
-            raise MissingCohort(f, record.year, record.doc_type) from None
+        total += baselines[(f, record.year, record.doc_type)]
     denom = total / len(record.field_codes)
-    if denom == 0.0:
-        return 0.0 if record.citation_count == 0 else math.inf
-    return record.citation_count / denom
+    return record.citation_count / denom if denom else 0.0
 
 
 def nearest_rank_90th(values: list[float]) -> float:
@@ -92,18 +90,16 @@ def top10_flags(corpus: Corpus, baselines: Mapping[CohortKey, float]) -> dict[st
     for rec in corpus.records:
         score = fwci(rec, baselines)
         scores[rec.pub_id] = score
-        if not math.isinf(score):
-            fwci_by_year.setdefault(rec.year, []).append(score)
+        fwci_by_year.setdefault(rec.year, []).append(score)
         cits_by_year.setdefault(rec.year, []).append(rec.citation_count)
     fwci_thresholds = {y: nearest_rank_90th(v) for y, v in fwci_by_year.items()}
     cits_thresholds = {y: nearest_rank_90th(v) for y, v in cits_by_year.items()}
     out: dict[str, PubScore] = {}
     for rec in corpus.records:
         score = scores[rec.pub_id]
-        fwci_thr = fwci_thresholds.get(rec.year)
         out[rec.pub_id] = PubScore(
             fwci=score,
-            top10_fwci=(not math.isinf(score) and fwci_thr is not None and score > fwci_thr),
+            top10_fwci=score > fwci_thresholds[rec.year],
             top10_cits=rec.citation_count > cits_thresholds[rec.year],
         )
     return out
@@ -144,6 +140,27 @@ class IndicatorRow(NamedTuple):
     metric: str
     counting: str
     value: float
+
+
+INDICATOR_HEADER = list(IndicatorRow._fields)
+
+
+def ratio_rows(cells: Iterable[StockCell], home: str, hosts: Iterable[str]) -> list[IndicatorRow]:
+    """Overseas(home, host) stock over ReturneeResident(home, host) stock, one
+    ``overseas_returnee_ratio`` row per host and stock year; ``math.inf`` when
+    nobody has returned, no row when both are 0."""
+    totals = {(c.class_key, c.year): c.total for c in cells}
+    years = sorted({year for _, year in totals})
+    rows = []
+    for host in hosts:
+        out_key, ret_key = overseas(home, host).key(), returnee_resident(home, host).key()
+        for year in years:
+            out_total = totals.get((out_key, year), 0)
+            ret_total = totals.get((ret_key, year), 0)
+            if ret_total or out_total:
+                value = out_total / ret_total if ret_total else math.inf
+                rows.append(IndicatorRow(host, year, "overseas_returnee_ratio", "full", value))
+    return rows
 
 
 # accumulator slots per (year, series)

@@ -14,7 +14,6 @@ from pathlib import Path
 from . import __version__
 from .corpus import Corpus, RegionScheme, load_corpus, load_scheme
 from .errors import InvalidConfig
-from .indicators import IndicatorRow
 from .mobility import MobilityClass, MobilityState, MoveEvent, classify, detect_moves
 from .report import read_table, write_table
 from .stocks import DEFAULT_GRACE_YEARS, StockCell, build_statuses, stock_table
@@ -149,7 +148,6 @@ TIMELINE_HEADER = ["author_id", "year", "source_pub", "dominant", "weights", "or
 STATE_HEADER = ["author_id", "year", "class", "since_year"]
 MOVE_HEADER = ["author_id", "from", "to", "year"]
 STOCK_HEADER = ["class", "year", "preceding", "new_movement", "total"]
-INDICATOR_HEADER = list(IndicatorRow._fields)
 
 
 def _format_weights(weights: dict[str, float], scheme: RegionScheme) -> str:
@@ -329,9 +327,13 @@ class Pipeline:
 
     def _build_stock_cells(self) -> list[StockCell]:
         corpus = self.corpus()
+        timelines = self.timelines()
         end_year = self.cfg.end_year if self.cfg.end_year is not None else corpus.window[1]
-        year_range = (corpus.window[0], end_year)
-        statuses = build_statuses(self.timelines(), year_range, grace=self.cfg.grace_years)
+        # every author is retired after the last countable year, so a later
+        # end year adds only empty years to the grid
+        last_year = max((tl.last_year for tl in timelines.values()), default=end_year)
+        year_range = (corpus.window[0], min(end_year, last_year + self.cfg.grace_years))
+        statuses = build_statuses(timelines, year_range, grace=self.cfg.grace_years)
         return stock_table(self.states(), statuses, year_range)
 
     def stock_cells(self) -> list[StockCell]:

@@ -10,11 +10,10 @@ entered earlier and are still active (preceding stock).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .mobility import MobilityState, overseas, returnee_resident
+from .mobility import MobilityState
 from .timeline import CareerTimeline
 
 ACTIVE = "Active"
@@ -102,21 +101,3 @@ def stock_table(
         for key, year in sorted(set(new_counts) | set(prec_counts))
     ]
     return cells
-
-
-def ratio_rows(cells: Iterable[StockCell], home: str, hosts: Iterable[str]) -> list[list]:
-    """Overseas(home, host) stock over ReturneeResident(home, host) stock, one
-    ``[host, year, "overseas_returnee_ratio", "full", value]`` row per host and
-    stock year; ``math.inf`` when nobody has returned, no row when both are 0."""
-    totals = {(c.class_key, c.year): c.total for c in cells}
-    years = sorted({year for _, year in totals})
-    rows = []
-    for host in hosts:
-        out_key, ret_key = overseas(home, host).key(), returnee_resident(home, host).key()
-        for year in years:
-            out_total = totals.get((out_key, year), 0)
-            ret_total = totals.get((ret_key, year), 0)
-            if ret_total or out_total:
-                value = out_total / ret_total if ret_total else math.inf
-                rows.append([host, year, "overseas_returnee_ratio", "full", value])
-    return rows

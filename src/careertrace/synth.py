@@ -84,6 +84,13 @@ class ScenarioConfig:
         unknown = set(raw) - known
         if unknown:
             raise InvalidConfig([f"unknown config key {k!r}" for k in sorted(unknown)])
+        defaults = json.loads(ScenarioConfig().to_json())
+        misshapen = [
+            f"{key} must have the JSON shape of its default, {json.dumps(defaults[key])}"
+            for key, value in raw.items() if not _shaped_like(value, defaults[key])
+        ]
+        if misshapen:
+            raise InvalidConfig(misshapen)
         cfg = ScenarioConfig()
         for key, value in raw.items():
             if key == "year_range":
@@ -91,9 +98,26 @@ class ScenarioConfig:
             elif key == "citation_model":
                 value = {k: tuple(v) for k, v in value.items()}
             elif key == "team_size_weights":
-                value = {int(k): v for k, v in value.items()}
+                try:
+                    value = {int(k): v for k, v in value.items()}
+                except ValueError:
+                    raise InvalidConfig("team_size_weights keys must be integers") from None
             setattr(cfg, key, value)
         return cfg
+
+
+def _shaped_like(value: object, example: object) -> bool:
+    """True when the JSON ``value`` has the structure of ``example``: the same
+    containers, each element shaped like the example's first, a number where
+    it has a float and an integer where it has an integer."""
+    if isinstance(example, dict):
+        inner = next(iter(example.values()))
+        return isinstance(value, dict) and all(_shaped_like(v, inner) for v in value.values())
+    if isinstance(example, list):
+        return isinstance(value, list) and all(_shaped_like(v, example[0]) for v in value)
+    if isinstance(example, float):
+        return type(value) in (int, float)
+    return type(value) is type(example)
 
 
 def validate_config(config: ScenarioConfig, scheme: RegionScheme) -> None:

@@ -30,6 +30,7 @@ def load_tracer_module():
     import importlib.util
 
     import careertrace.cli  # noqa: F401 - loads every module the commands use
+    import careertrace.indicators  # noqa: F401 - loaded by the indicators command only
 
     path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

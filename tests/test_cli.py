@@ -15,7 +15,11 @@ from careertrace import cli
 from careertrace.cli import run
 from careertrace.corpus import default_scheme, default_scheme_path
 from careertrace.indicators import IndicatorEngine
+from careertrace.mobility import HOST_ATTRIBUTIONS
+from careertrace.pipeline import ALL_METRICS
 from careertrace.report import read_table
+from careertrace.stocks import build_statuses
+from careertrace.timeline import TIE_RULES
 
 from conftest import lines, random_records, rec
 from equivalence import oracle_scheme
@@ -145,9 +149,11 @@ def test_module_entry_point_reports_bad_lines(tmp_path):
 
 
 def test_cli_import_leaves_synth_unloaded():
-    """Only the synth command imports the generator, so no other command pays for it."""
+    """Only the synth command imports the generator and only the indicators
+    command the indicator engine, so no other command pays for them."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    code = "import sys, careertrace.cli; print(sorted(m for m in sys.modules if 'synth' in m))"
+    code = ("import sys, careertrace.cli; "
+            "print(sorted(m for m in sys.modules if 'synth' in m or 'indicators' in m))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -218,6 +224,27 @@ def test_stocks_output(small_corpus, tmp_path):
     body = out.read_text(encoding="utf-8")
     assert body.splitlines()[0] == "class,year,preceding,new_movement,total"
     assert "\"Overseas(CHN,USA)\",2007,0,1,1" in body
+
+
+def test_stocks_grid_ends_at_last_countable_year(small_corpus, tmp_path, monkeypatch):
+    """An end year past the last publication plus grace builds no grid years
+    beyond it, and writes the table the last countable year writes."""
+    import careertrace.pipeline as pipeline
+
+    ranges = []
+
+    def recording(timelines, year_range, **kwargs):
+        ranges.append(year_range)
+        return build_statuses(timelines, year_range, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_statuses", recording)
+    far, near = tmp_path / "far.csv", tmp_path / "near.csv"
+    assert run(["stocks", str(small_corpus), "-o", str(far), "--no-cache",
+                "--end-year", "3000"]) == 0
+    assert ranges == [(2005, 2014 + 2)]
+    assert run(["stocks", str(small_corpus), "-o", str(near), "--no-cache",
+                "--end-year", "2016"]) == 0
+    assert far.read_bytes() == near.read_bytes()
 
 
 @pytest.mark.parametrize("grace", [0, 3])
@@ -348,6 +375,23 @@ def test_inverted_year_window_is_a_config_error(corpus_1980, capsys):
     assert capsys.readouterr().err == "careertrace: error: year_min 2020 is after year_max 2000\n"
 
 
+@pytest.mark.parametrize("scenario", [
+    {"year_range": 5},
+    {"team_size_weights": {"x": 1}},
+    {"origin_weights": [1]},
+    {"citation_model": {"F1": 5}},
+    {"move_hazard": {"CHN": 5}},
+], ids=["year_range", "team_size_weights", "origin_weights", "citation_model", "move_hazard"])
+def test_misshapen_scenario_config_is_one_error_line(tmp_path, capsys, scenario):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenario), encoding="utf-8")
+    assert run(["synth", "--config", str(config), "-o", str(tmp_path / "c.jsonl"),
+                "--truth", str(tmp_path / "t.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"careertrace: error: {config}: {next(iter(scenario))} ")
+    assert err.count("\n") == 1
+
+
 def test_synth_roundtrip_and_determinism(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
@@ -417,6 +461,74 @@ def test_warm_run_reproduces_cold_run(command, tmp_path):
     manifest = next((tmp_path / "warm").rglob("*manifest.json"))
     outcomes = [s["cache"] for s in json.loads(manifest.read_text())["stages"]]
     assert "hit" in outcomes and "miss" not in outcomes
+
+
+LEGAL_LABELS = st.from_regex(r"[A-Za-z0-9_]{1,4}", fullmatch=True).filter(
+    lambda label: label not in ("WLD", "DOM", "ALL"))
+
+
+@st.composite
+def random_schemes(draw):
+    """A scheme over the ``random_records`` countries with legal labels; the
+    last label is the catch-all, and countries it draws stay unlisted."""
+    labels = draw(st.lists(LEGAL_LABELS, min_size=2, max_size=4, unique=True))
+    owner = {c: draw(st.sampled_from(labels)) for c in ("CHN", "USA", "DEU", "FRA", "JPN", "BRA")}
+    return {
+        "regions": {r: [c for c, o in owner.items() if o == r] for r in labels[:-1]},
+        "label_order": draw(st.permutations(labels)),
+        "other_label": labels[-1],
+    }
+
+
+@st.composite
+def random_run_flags(draw, labels):
+    """Flags of every run-configuration field, by command."""
+    window = draw(st.none() | st.tuples(st.integers(1995, 2000), st.integers(2008, 2012)))
+    timelines = ["--tie-rule", draw(st.sampled_from(TIE_RULES))]
+    if window is not None:
+        timelines += ["--year-min", str(window[0]), "--year-max", str(window[1])]
+    home = timelines + [
+        "--home", draw(st.sampled_from(labels)),
+        "--grace", str(draw(st.integers(0, 3))),
+        "--host-attribution", draw(st.sampled_from(HOST_ATTRIBUTIONS)),
+    ]
+    end_year = draw(st.none() | st.integers(1998, 2012))
+    if end_year is not None:
+        home += ["--end-year", str(end_year)]
+    if draw(st.booleans()):
+        home.append("--intl-requires-distinct-authors")
+    metrics = draw(st.lists(st.sampled_from(ALL_METRICS), min_size=1, unique=True))
+    return {
+        "timelines": timelines,
+        "moves": home,
+        "stocks": home,
+        "indicators": home + ["--metrics", ",".join(metrics)],
+    }
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), data=st.data())
+def test_cached_runs_match_uncached_runs(tmp_path_factory, seed, n, data):
+    """Over random schemes and a sequence of random configurations sharing one
+    cache, every command's cold-cache and warm-cache tables equal its
+    ``--no-cache`` tables."""
+    tmp = tmp_path_factory.mktemp("cache")
+    corpus, scheme_path = tmp / "in.jsonl", tmp / "scheme.json"
+    write_corpus(corpus, random_records(random.Random(seed), n))
+    scheme = data.draw(random_schemes())
+    scheme_path.write_text(json.dumps(scheme), encoding="utf-8")
+    for i in range(2):
+        flags = data.draw(random_run_flags(scheme["label_order"]))
+        for command, args in flags.items():
+            output = "out.csv" if command in ("timelines", "stocks") else "out"
+            outs = []
+            for run_name, cache in (("off", ["--no-cache"]), ("cold", []), ("warm", [])):
+                root = tmp / f"{i}{command}{run_name}"
+                assert run([command, str(corpus), "-o", str(root / output),
+                            "--scheme", str(scheme_path), "--cache-dir", str(tmp / "cache"),
+                            *cache, *args]) == 0
+                outs.append(data_files(root))
+            assert outs[0] == outs[1] == outs[2], (i, command)
 
 
 def test_stocks_cache_skips_parse(small_corpus, tmp_path):
@@ -533,6 +645,25 @@ def test_bad_scheme_file_exit_one(tmp_path):
     corpus = tmp_path / "c.jsonl"
     write_corpus(corpus, [rec("p0", 2005, [("a1", ["CHN"])])])
     assert run(["validate", str(corpus), "--scheme", str(scheme_path)]) == 1
+
+
+@pytest.mark.parametrize("scheme", [
+    {"regions": [["CHN"]], "label_order": ["OTHER"]},
+    {"regions": {"CHN": 5}, "label_order": ["CHN", "OTHER"]},
+    {"regions": {"CHN": "CHN"}, "label_order": ["CHN", "OTHER"]},
+    {"regions": {"CHN": [["CHN"]]}, "label_order": ["CHN", "OTHER"]},
+    {"regions": {"CHN": ["CHN"]}, "label_order": 5},
+    {"regions": {"CHN": ["CHN"]}, "label_order": {"CHN": 0, "OTHER": 1}},
+    {"regions": {"CHN": ["CHN"]}, "label_order": ["CHN", "OTHER", 1, "X"]},
+], ids=["regions-list", "codes-number", "codes-string", "codes-nested", "order-number",
+        "order-object", "order-mixed"])
+def test_misshapen_scheme_file_is_one_error_line(small_corpus, tmp_path, capsys, scheme):
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(json.dumps(scheme), encoding="utf-8")
+    assert run(["validate", str(small_corpus), "--scheme", str(scheme_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"careertrace: error: {scheme_path}: '")
+    assert err.count("\n") == 1
 
 
 def _scheme_renaming(path: Path, old: str, new: str) -> Path:

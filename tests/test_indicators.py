@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from careertrace.corpus import default_scheme, parse_corpus, regionalize
-from careertrace.errors import EmptyReference, MissingCohort
+from careertrace.errors import EmptyReference
 from careertrace.indicators import (
     IndicatorEngine,
     citation_baselines,
@@ -96,19 +96,6 @@ def test_fwci_multi_field_mean_of_baselines(scheme):
     corpus = corpus_of(rec("p1", 2005, [("a1", ["CHN"])], fields=("F1", "F2"), cites=4))
     base = {("F1", 2005, "ar"): 2.0, ("F2", 2005, "ar"): 6.0}
     assert fwci(corpus.records[0], base) == 1.0
-
-
-def test_fwci_zero_denominator_sentinel(scheme):
-    corpus = corpus_of(rec("p1", 2005, [("a1", ["CHN"])], cites=4))
-    base = {("F1", 2005, "ar"): 0.0}
-    assert math.isinf(fwci(corpus.records[0], base))
-
-
-def test_fwci_missing_cohort(scheme):
-    corpus = corpus_of(rec("p1", 2005, [("a1", ["CHN"])], cites=4))
-    with pytest.raises(MissingCohort) as exc:
-        fwci(corpus.records[0], {})
-    assert exc.value.cohort == ("F1", 2005, "ar")
 
 
 def test_top10_twenty_distinct_values_flags_two(scheme):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from careertrace.corpus import default_scheme, parse_corpus
+from careertrace.indicators import ratio_rows
 from careertrace.mobility import (
     DOMESTIC,
     HOST_ATTRIBUTIONS,
@@ -13,7 +14,7 @@ from careertrace.mobility import (
     classify,
     detect_moves,
 )
-from careertrace.stocks import build_statuses, ratio_rows, stock_table
+from careertrace.stocks import build_statuses, stock_table
 from careertrace.synth import ScenarioConfig, generate
 from careertrace.timeline import build_timelines
 
@@ -68,7 +69,7 @@ def test_ratio_rows_match_oracle(seed, home, grace):
     bf_classes = {a: bf.classes(p, bf.moves(p), home) for a, p in bf_timelines.items()}
     bf_cells = bf.stocks(bf_timelines, bf_classes, corpus.window, grace)
     hosts = [r for r in scheme.labels if r != home]
-    assert ratio_rows(cells, home, hosts) == bf.ratios(bf_cells, home, hosts)
+    assert [list(r) for r in ratio_rows(cells, home, hosts)] == bf.ratios(bf_cells, home, hosts)
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from careertrace.indicators import ratio_rows
 from careertrace.mobility import classify, detect_moves
 from careertrace.stocks import (
     ACTIVE,
@@ -13,7 +14,6 @@ from careertrace.stocks import (
     RETIRED,
     StockCell,
     build_statuses,
-    ratio_rows,
     stock_table,
 )
 from careertrace.timeline import build_timelines
@@ -209,6 +209,10 @@ def test_gap_years_keep_class_and_entry_year(scheme):
 RATIO = "overseas_returnee_ratio"
 
 
+def ratio_lists(cells, home, hosts):
+    return [list(r) for r in ratio_rows(cells, home, hosts)]
+
+
 def test_ratio_rows_values():
     cells = [
         StockCell("Overseas(CHN,USA)", 2017, 10, 4),
@@ -216,7 +220,7 @@ def test_ratio_rows_values():
         StockCell("Overseas(CHN,EU28)", 2017, 5, 4),
         StockCell("ReturneeResident(CHN,EU28)", 2017, 8, 2),
     ]
-    assert ratio_rows(cells, "CHN", ["USA", "EU28"]) == [
+    assert ratio_lists(cells, "CHN", ["USA", "EU28"]) == [
         ["USA", 2017, RATIO, "full", pytest.approx(1.4)],
         ["EU28", 2017, RATIO, "full", pytest.approx(0.9)],
     ]
@@ -224,16 +228,16 @@ def test_ratio_rows_values():
 
 def test_ratio_rows_zero_numerator():
     cells = [StockCell("ReturneeResident(CHN,USA)", 2017, 5, 0)]
-    assert ratio_rows(cells, "CHN", ["USA"]) == [["USA", 2017, RATIO, "full", 0.0]]
+    assert ratio_lists(cells, "CHN", ["USA"]) == [["USA", 2017, RATIO, "full", 0.0]]
 
 
 def test_ratio_rows_infinite_when_no_returnees():
     cells = [StockCell("Overseas(CHN,USA)", 2017, 5, 0)]
-    assert ratio_rows(cells, "CHN", ["USA"]) == [["USA", 2017, RATIO, "full", math.inf]]
+    assert ratio_lists(cells, "CHN", ["USA"]) == [["USA", 2017, RATIO, "full", math.inf]]
 
 
 def test_ratio_rows_omitted_when_both_empty():
     # 2017 has stock, but none of it overseas in or returned from USA or EU28
     cells = [StockCell("Domestic(CHN)", 2017, 3, 0), StockCell("Overseas(CHN,EU28)", 2018, 1, 0)]
-    assert ratio_rows(cells, "CHN", ["USA", "EU28"]) == [["EU28", 2018, RATIO, "full", math.inf]]
+    assert ratio_lists(cells, "CHN", ["USA", "EU28"]) == [["EU28", 2018, RATIO, "full", math.inf]]
     assert ratio_rows([], "CHN", ["USA"]) == []
