@@ -17,9 +17,10 @@ import datetime as _dt
 import gc
 import json
 import math
+import re
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import __version__
 from .corpus import default_scheme_path, iter_diagnostics, load_scheme, open_corpus
@@ -333,11 +334,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # column types of the tables report reads: indicator tables, then stocks.csv
 _INDICATOR_TYPES = (str, int, str, str, float)
 _STOCK_TYPES = (str, int, float, float, float)
+# what a chart's file name may be made of, so that no chart leaves the report directory
+_PLAIN_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
-def _read_report_table(path: Path, types: tuple) -> tuple[list[str], list[list[str]], list[list]]:
+def _class_stem(class_key: str) -> str:
+    """``Overseas(CHN,USA)`` -> ``Overseas_CHN_USA``, the class's chart file stem."""
+    return class_key.replace("(", "_").replace(")", "").replace(",", "_")
+
+
+def _read_report_table(
+    path: Path, types: tuple, names: Callable[[list[str]], Iterable[str]]
+) -> tuple[list[str], list[list[str]], list[list]]:
     """Header, text rows and the rows converted by ``types``; a table report
-    cannot read is one error naming its file and line."""
+    cannot read, or a row whose ``names`` (the parts of its chart's file name)
+    are not plain, is one error naming its file and line."""
     try:
         header, rows = read_table(path)
     except UnicodeDecodeError:
@@ -350,6 +361,10 @@ def _read_report_table(path: Path, types: tuple) -> tuple[list[str], list[list[s
             values.append([kind(text) for kind, text in zip(types, row)])
         except ValueError as exc:
             raise MalformedTable(f"{path}: line {line_no}: {exc}") from None
+        for name in names(row):
+            if not _PLAIN_NAME.fullmatch(name):
+                raise MalformedTable(f"{path}: line {line_no}: {name!r} does not make a plain "
+                                     "file name (letters, digits, '_' and '-')")
     return header, rows, values
 
 
@@ -381,12 +396,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         path = src / f"{name}.csv"
         if not path.exists():
             continue
-        header, rows, values = _read_report_table(path, _INDICATOR_TYPES)
+        header, rows, values = _read_report_table(path, _INDICATOR_TYPES, lambda row: row[2:4])
         charts.extend(_chart_indicator_table(values, out_dir))
         summary_parts.append(f"== {name} ==\n" + render_text_table(header, rows))
     stocks_path = src / "stocks.csv"
     if stocks_path.exists():
-        header, rows, values = _read_report_table(stocks_path, _STOCK_TYPES)
+        header, rows, values = _read_report_table(stocks_path, _STOCK_TYPES,
+                                                   lambda row: [_class_stem(row[0])])
         summary_parts.append("== stocks ==\n" + render_text_table(header, rows))
         by_class: dict[str, dict[int, tuple[float, float]]] = {}
         for class_key, year, preceding, new, _total in values:
@@ -395,8 +411,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             if not (class_key.startswith("Overseas(") or class_key.startswith("ReturneeResident(")):
                 continue
             years = sorted(by_class[class_key])
-            safe = class_key.replace("(", "_").replace(")", "").replace(",", "_")
-            name = f"stocks_{safe}.svg"
+            name = f"stocks_{_class_stem(class_key)}.svg"
             stacked_bar_chart(
                 out_dir / name,
                 f"stock of {class_key}: preceding vs new movement",

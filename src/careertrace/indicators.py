@@ -24,15 +24,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import Corpus, PublicationRecord, RegionScheme, regionalize
 from .errors import EmptyReference, NoStateForYear
-from .mobility import (
-    DOMESTIC,
-    OVERSEAS,
-    RETURNEE_RESIDENT,
-    MobilityClass,
-    MobilityState,
-    overseas,
-    returnee_resident,
-)
+from .mobility import MobilityState, domestic, overseas, returnee_resident
 from .stocks import StockCell
 
 CohortKey = tuple[str, int, str]
@@ -153,7 +145,7 @@ def ratio_rows(cells: Iterable[StockCell], home: str, hosts: Iterable[str]) -> l
     years = sorted({year for _, year in totals})
     rows = []
     for host in hosts:
-        out_key, ret_key = overseas(home, host).key(), returnee_resident(home, host).key()
+        out_key, ret_key = overseas(home, host), returnee_resident(home, host)
         for year in years:
             out_total = totals.get((out_key, year), 0)
             ret_total = totals.get((ret_key, year), 0)
@@ -199,22 +191,16 @@ class IndicatorEngine:
         self.all_series = ["WLD", home] + self.class_series
         self._run(states)
 
-    def _series_of(self, klass: MobilityClass) -> tuple[tuple[str, bool], ...]:
-        """Reporting series a class feeds, with use-whole-weight flag."""
-        home = self.home
-        if klass.kind == DOMESTIC and klass.first == home:
-            return (("DOM", False),)
-        if klass.kind == OVERSEAS and klass.first == home:
-            return ((f"{home}->{klass.second}", True),)
-        if klass.kind == RETURNEE_RESIDENT and klass.first == home:
-            return ((f"{klass.second}->{home}", False), (f"ALL->{home}", False))
-        return ()
-
     def _run(self, states: Mapping[str, list[MobilityState]]) -> None:
         home = self.home
         scheme = self.scheme
         classes = {author: {st.year: st.klass for st in sts} for author, sts in states.items()}
-        series_cache: dict[MobilityClass, tuple[tuple[str, bool], ...]] = {}
+        # reporting series each home-relative class feeds, with use-whole-weight
+        # flag; every other class feeds none
+        series_of = {domestic(home): (("DOM", False),)}
+        for f in self.foreign:
+            series_of[overseas(home, f)] = ((f"{home}->{f}", True),)
+            series_of[returnee_resident(home, f)] = ((f"{f}->{home}", False), (f"ALL->{home}", False))
         acc: dict[int, dict[str, list[float]]] = {}
         pair_acc: dict[tuple[str, str], dict[int, list[float]]] = {}  # [full, frac]
         dir_num: dict[tuple[str, str], dict[int, float]] = {}
@@ -238,11 +224,7 @@ class IndicatorEngine:
                     klass = classes[a.author_id][year]
                 except KeyError:
                     raise NoStateForYear(a.author_id, year) from None
-                targets = series_cache.get(klass)
-                if targets is None:
-                    targets = self._series_of(klass)
-                    series_cache[klass] = targets
-                for series, whole in targets:
+                for series, whole in series_of.get(klass, ()):
                     w = auth_w if whole else home_share
                     if w:
                         frac[series] = frac.get(series, 0.0) + w

@@ -40,57 +40,27 @@ RETURNEE_ABROAD = "ReturneeAbroad"
 HOST_ATTRIBUTIONS = ("first", "latest")
 
 
-@dataclass(frozen=True, slots=True)
-class MobilityClass:
-    """One mobility class value; ``first``/``second`` depend on the kind.
-
-    Domestic: first=origin. Overseas: first=origin, second=host.
-    ReturneeResident / ReturneeAbroad: first=home, second=host.
-    """
-
-    kind: str
-    first: str
-    second: str | None = None
-
-    def key(self) -> str:
-        if self.second is None:
-            return f"{self.kind}({self.first})"
-        return f"{self.kind}({self.first},{self.second})"
-
-    @staticmethod
-    def parse_key(key: str) -> "MobilityClass":
-        kind, _, rest = key.partition("(")
-        make = _MAKERS.get(kind)
-        parts = rest[:-1].split(",")
-        if make is None or not rest.endswith(")") or len(parts) != (1 if kind == DOMESTIC else 2):
-            raise ValueError(f"not a mobility class key: {key!r}")
-        return make(*parts)
-
-
-# One shared object per argument tuple: a process builds a few dozen classes,
+# A class is its key, the text the outputs carry, e.g. ``Overseas(CHN,USA)``.
+# One shared string per argument tuple: a process builds a few dozen classes,
 # not one per position, and code holding only these may compare them with `is`.
 @cache
-def domestic(origin: str) -> MobilityClass:
-    return MobilityClass(DOMESTIC, origin)
+def domestic(origin: str) -> str:
+    return f"{DOMESTIC}({origin})"
 
 
 @cache
-def overseas(origin: str, host: str) -> MobilityClass:
-    return MobilityClass(OVERSEAS, origin, host)
+def overseas(origin: str, host: str) -> str:
+    return f"{OVERSEAS}({origin},{host})"
 
 
 @cache
-def returnee_resident(home: str, host: str) -> MobilityClass:
-    return MobilityClass(RETURNEE_RESIDENT, home, host)
+def returnee_resident(home: str, host: str) -> str:
+    return f"{RETURNEE_RESIDENT}({home},{host})"
 
 
 @cache
-def returnee_abroad(home: str, host: str) -> MobilityClass:
-    return MobilityClass(RETURNEE_ABROAD, home, host)
-
-
-_MAKERS = {DOMESTIC: domestic, OVERSEAS: overseas,
-           RETURNEE_RESIDENT: returnee_resident, RETURNEE_ABROAD: returnee_abroad}
+def returnee_abroad(home: str, host: str) -> str:
+    return f"{RETURNEE_ABROAD}({home},{host})"
 
 
 @dataclass(slots=True)
@@ -105,7 +75,7 @@ class MoveEvent:
 class MobilityState:
     author_id: str
     year: int
-    klass: MobilityClass
+    klass: str
     since_year: int
 
 
@@ -152,7 +122,7 @@ def classify(
     origin = timeline.origin_region
     states: list[MobilityState] = []
     returnee_host: str | None = None
-    prev_class: MobilityClass | None = None
+    prev_class: str | None = None
     since = timeline.first_year
     for pos in timeline.positions:
         mv = inbound_by_year.get(pos.year)

@@ -5,7 +5,9 @@ header and row codec, shared by the cache and the command outputs.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -14,8 +16,8 @@ from pathlib import Path
 from . import __version__
 from .corpus import Corpus, RegionScheme, load_corpus, load_scheme
 from .errors import InvalidConfig
-from .mobility import MobilityClass, MobilityState, MoveEvent, classify, detect_moves
-from .report import read_table, write_table
+from .mobility import MobilityState, MoveEvent, classify, detect_moves
+from .report import write_table
 from .stocks import DEFAULT_GRACE_YEARS, StockCell, build_statuses, stock_table
 from .timeline import CareerTimeline, YearPosition, build_timelines
 
@@ -122,10 +124,12 @@ class Cache:
             expect = digest_path.read_text(encoding="utf-8").strip()
             if hashlib.sha256(blob).hexdigest() != expect:
                 raise ValueError("digest mismatch")
-            header, rows = read_table(data_path)
-            if not header:
+            # decode the bytes just verified: reading the file again could see
+            # another run's store half done
+            table = list(csv.reader(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", newline="")))
+            if not table or not table[0]:
                 raise ValueError("empty cache table")
-            return rows
+            return table[1:]
         except Exception as exc:  # noqa: BLE001 - any corruption means rebuild
             print(f"careertrace: warning: discarding corrupt cache entry {data_path.name}: {exc}",
                   file=sys.stderr)
@@ -218,28 +222,21 @@ def rows_to_moves(rows: list[list[str]]) -> dict[str, list[MoveEvent]]:
 
 
 def states_to_rows(states: dict[str, list[MobilityState]]) -> list[list[str]]:
-    # classes are interned, so each distinct one is keyed once by identity
-    keys: dict[int, str] = {}
-    rows = []
-    for author_id in sorted(states):
-        for st in states[author_id]:
-            key = keys.get(id(st.klass))
-            if key is None:
-                key = keys[id(st.klass)] = st.klass.key()
-            rows.append([author_id, str(st.year), key, str(st.since_year)])
-    return rows
+    return [
+        [author_id, str(st.year), st.klass, str(st.since_year)]
+        for author_id in sorted(states)
+        for st in states[author_id]
+    ]
 
 
 def rows_to_states(rows: list[list[str]]) -> dict[str, list[MobilityState]]:
-    """States decoded from rows in ``states_to_rows`` order (by author, then year)."""
-    classes: dict[str, MobilityClass] = {}
+    """States decoded from rows in ``states_to_rows`` order (by author, then
+    year); each distinct class key is one shared string, as ``classify`` gives."""
+    classes: dict[str, str] = {}
     out: dict[str, list[MobilityState]] = {}
     for author_id, year, key, since_year in rows:
-        klass = classes.get(key)
-        if klass is None:
-            klass = classes[key] = MobilityClass.parse_key(key)
         out.setdefault(author_id, []).append(
-            MobilityState(author_id=author_id, year=int(year), klass=klass,
+            MobilityState(author_id=author_id, year=int(year), klass=classes.setdefault(key, key),
                           since_year=int(since_year))
         )
     return out
@@ -326,13 +323,17 @@ class Pipeline:
                             states_to_rows, rows_to_states)
 
     def _build_stock_cells(self) -> list[StockCell]:
-        corpus = self.corpus()
         timelines = self.timelines()
-        end_year = self.cfg.end_year if self.cfg.end_year is not None else corpus.window[1]
+        # the corpus window, read off the timelines so that a cached timelines
+        # stage needs no parse: every record gives each of its authors a position
+        first_year = min((tl.first_year for tl in timelines.values()), default=0)
+        last_year = max((tl.last_year for tl in timelines.values()), default=0)
+        start_year, end_year = self.cfg.window or (first_year, last_year)
+        if self.cfg.end_year is not None:
+            end_year = self.cfg.end_year
         # every author is retired after the last countable year, so a later
         # end year adds only empty years to the grid
-        last_year = max((tl.last_year for tl in timelines.values()), default=end_year)
-        year_range = (corpus.window[0], min(end_year, last_year + self.cfg.grace_years))
+        year_range = (start_year, min(end_year, last_year + self.cfg.grace_years))
         statuses = build_statuses(timelines, year_range, grace=self.cfg.grace_years)
         return stock_table(self.states(), statuses, year_range)
 

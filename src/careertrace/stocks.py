@@ -90,7 +90,7 @@ def stock_table(
             status = statuses.get((author_id, year))
             if status is None or status == RETIRED or current is None:
                 continue
-            cell = (current.klass.key(), year)
+            cell = (current.klass, year)
             if current.since_year == year:
                 new_counts[cell] = new_counts.get(cell, 0) + 1
             else:

@@ -268,7 +268,7 @@ def _true_classes(
             key = domestic(origin)
         else:
             key = overseas(origin, loc)
-        classes[year] = key.key()
+        classes[year] = key
     return classes
 
 

@@ -69,7 +69,7 @@ def compare_pipeline_to_oracle(corpus_lines: list[str], scheme, home: str = "CHN
         a: bf.classes(bf_timelines[a], bf.moves(bf_timelines[a]), home) for a in timelines
     }
     for author, sts in states.items():
-        got = {s.year: (s.klass.key(), s.since_year) for s in sts}
+        got = {s.year: (s.klass, s.since_year) for s in sts}
         assert got == bf_classes[author], author
 
     # stocks

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import random
@@ -16,7 +17,7 @@ from careertrace.cli import run
 from careertrace.corpus import default_scheme, default_scheme_path
 from careertrace.indicators import IndicatorEngine
 from careertrace.mobility import HOST_ATTRIBUTIONS
-from careertrace.pipeline import ALL_METRICS
+from careertrace.pipeline import ALL_METRICS, Cache
 from careertrace.report import read_table
 from careertrace.stocks import build_statuses
 from careertrace.timeline import TIE_RULES
@@ -292,14 +293,31 @@ STOCKS_HEADER = b"class,year,preceding,new_movement,total\n"
     ("stocks.csv", STOCKS_HEADER + b"Domestic(CHN),2005,0\n", "line 2: 3 columns, expected 5"),
     ("stocks.csv", STOCKS_HEADER + b"Domestic(CHN),20x5,0,1,1\n",
      "line 2: invalid literal for int() with base 10: '20x5'"),
-], ids=["value", "short-row", "non-utf8", "stocks-short-row", "stocks-year"])
+    # cells that name a chart file must make a plain name
+    ("pp10.csv", PP10_HEADER + b"WLD,2000,../../escaped,full,0.5\n", "'../../escaped'"),
+    ("pp10.csv", PP10_HEADER + b"WLD,2000,pp10_fwci,../../escaped,0.5\n", "'../../escaped'"),
+    ("ratio.csv", PP10_HEADER + b"USA,2000,sub/escaped,full,0.5\n", "'sub/escaped'"),
+    ("shares.csv", PP10_HEADER + b"CHN,2000,world share,full,0.5\n", "'world share'"),
+    ("intl.csv", PP10_HEADER + b"CHN-USA,2000,,full,1.0\n", "''"),
+    ("stocks.csv", STOCKS_HEADER + b'"Overseas(../../escaped,USA)",2000,1,0,1\n',
+     "'Overseas_../../escaped_USA'"),
+    ("stocks.csv", STOCKS_HEADER + b'"ReturneeResident(CHN,U S)",2000,1,0,1\n',
+     "'ReturneeResident_CHN_U S'"),
+], ids=["value", "short-row", "non-utf8", "stocks-short-row", "stocks-year",
+        "metric-path", "counting-path", "metric-subdirectory", "metric-space", "metric-empty",
+        "stock-class-path", "stock-host-space"])
 def test_report_on_malformed_table_is_one_error_line(tmp_path, capsys, name, body, reason):
-    src = tmp_path / "ind"
-    src.mkdir()
+    src = tmp_path / "a" / "b" / "ind"
+    src.mkdir(parents=True)
     path = src / name
     path.write_bytes(body)
     assert run(["report", str(src)]) == 1
+    if reason.startswith("'"):
+        reason = (f"line 2: {reason} does not make a plain file name "
+                  "(letters, digits, '_' and '-')")
     assert capsys.readouterr().err == f"careertrace: error: {path}: {reason}\n"
+    written = {p for p in tmp_path.rglob("*") if p.is_file()} - {path}
+    assert all(src / "report" in p.parents for p in written), written
 
 
 def test_metric_selection(small_corpus, tmp_path, monkeypatch):
@@ -341,6 +359,27 @@ def test_run_config_file_and_flag_precedence(small_corpus, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["grace_years"] == 1
     assert manifest["config"]["metrics"] == ["pp10"]  # flag wins over file
+
+
+@pytest.mark.parametrize("line, message", [
+    ("home CHN", "{cfg}:2: expected 'key = value'"),
+    ("colour = red", "{cfg}:2: unknown key 'colour'"),
+    ("end_year = soon", "{cfg}:2: end_year must be an integer"),
+    ("intl_requires_distinct_authors = maybe",
+     "{cfg}:2: intl_requires_distinct_authors must be true/false"),
+    ("tie_rule = coinflip", "tie_rule must be 'hysteresis' or 'label_order'"),
+    ("host_attribution = middle", "host_attribution must be 'first' or 'latest'"),
+    ("grace_years = -1", "grace_years must be >= 0"),
+], ids=["no-equals", "unknown-key", "integer", "boolean", "tie-rule", "host-attribution",
+        "negative-grace"])
+def test_bad_run_config_file_is_one_error_line(small_corpus, tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# run settings\n{line}\n")
+    out = tmp_path / "stocks.csv"
+    assert run(["stocks", str(small_corpus), "-o", str(out), "--no-cache",
+                "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"careertrace: error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -545,6 +584,23 @@ def test_stocks_cache_skips_parse(small_corpus, tmp_path):
     assert stages == {"stocks": "hit"}  # no parse, no timeline rebuild
 
 
+def test_stocks_after_cached_moves_skips_parse(small_corpus, tmp_path):
+    """The stock year range comes from the timelines and the run
+    configuration, so stages cached by ``moves`` leave nothing to parse."""
+    cache = tmp_path / "cache"
+    for flags in ([], ["--end-year", "2016"], ["--year-min", "2000", "--year-max", "2020"]):
+        assert run(["moves", str(small_corpus), "-o", str(tmp_path / "moves"),
+                    "--cache-dir", str(cache), *flags]) == 0
+        cached, uncached = tmp_path / "cached.csv", tmp_path / "uncached.csv"
+        assert run(["stocks", str(small_corpus), "-o", str(cached), "--cache-dir", str(cache),
+                    *flags]) == 0
+        assert run(["stocks", str(small_corpus), "-o", str(uncached), "--no-cache", *flags]) == 0
+        assert cached.read_bytes() == uncached.read_bytes(), flags
+        manifest = json.loads((tmp_path / "cached.csv.manifest.json").read_text())
+        assert [(s["stage"], s["cache"]) for s in manifest["stages"]] == [
+            ("timelines", "hit"), ("states", "hit"), ("stocks", "miss")], flags
+
+
 def test_cache_miss_after_one_byte_edit(small_corpus, tmp_path):
     cache = tmp_path / "cache"
     out1 = tmp_path / "m1"
@@ -571,6 +627,27 @@ def test_corrupt_cache_rebuilt(small_corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "discarding corrupt cache entry" in err
     assert data_files(cold) == data_files(warm)
+
+
+def test_cache_load_decodes_the_bytes_it_verified(tmp_path, monkeypatch):
+    cache = Cache(tmp_path)
+    key = Cache.key("states", ["corpus"])
+    rows = [[f"a{i:03d}", str(2000 + i), "Domestic(CHN)", str(2000 + i)] for i in range(100)]
+    cache.store(key, ["author_id", "year", "class", "since_year"], rows)
+    data_path = tmp_path / f"{key}.csv"
+    blob = data_path.read_bytes()
+    sha256 = hashlib.sha256
+
+    def sha256_then_truncated(data=b""):
+        # another run sharing the cache starts storing the entry right after
+        # the digest is taken
+        digest = sha256(data)
+        if data == blob:
+            data_path.write_bytes(blob[: len(blob) // 2])
+        return digest
+
+    monkeypatch.setattr(hashlib, "sha256", sha256_then_truncated)
+    assert cache.load(key) == rows
 
 
 @settings(max_examples=10, deadline=None)

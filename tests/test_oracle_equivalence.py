@@ -111,8 +111,8 @@ def test_moves_and_classes_match_oracle(seed, home, host_attribution):
         assert set(got) <= steps, author
 
         states = classify(tl, moves, home, scheme, host_attribution)
-        assert {s.year: (s.klass.key(), s.since_year) for s in states} == bf.classes(
+        assert {s.year: (s.klass, s.since_year) for s in states} == bf.classes(
             positions, bf.moves(positions), home, host_attribution), author
-        kinds = [s.klass.kind for s in states]
+        kinds = [s.klass.partition("(")[0] for s in states]
         returned = [k not in (DOMESTIC, OVERSEAS) for k in kinds]
         assert returned == sorted(returned), author

@@ -76,7 +76,7 @@ def test_noise_free_class_recovery(scheme):
     timelines = build_timelines(corpus)
     for author, tl in timelines.items():
         states = classify(tl, detect_moves(tl), "CHN", scheme)
-        got = {s.year: s.klass.key() for s in states}
+        got = {s.year: s.klass for s in states}
         assert got == truth.authors[author].classes
 
 
