@@ -5,7 +5,9 @@ Data outputs are deterministic: fixed inputs and configuration produce
 byte-identical files regardless of input line order. Every output
 directory carries exactly one ``manifest.json`` (file outputs get a
 ``<name>.manifest.json`` sidecar) echoing the effective configuration,
-input hashes and per-stage cache usage.
+input hashes and per-stage cache usage. A command that ends on a data,
+table or configuration error writes no output file: every stage runs,
+and every input table is checked, before the first one is written.
 
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
 """
@@ -19,6 +21,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -59,15 +62,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         for key, value in load_run_config(args.config).items():
             setattr(cfg, key, value)
-    for key in ("home", "end_year", "grace_years", "host_attribution", "tie_rule",
-                "year_min", "year_max"):
-        value = getattr(args, key, None)
+    for field in fields(RunConfig):  # every flag defaults to None, so a set flag wins
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "intl_requires_distinct_authors", False):
-        cfg.intl_requires_distinct_authors = True
-    if getattr(args, "metrics", None) is not None:
-        cfg.metrics = parse_metrics(args.metrics)
+            setattr(cfg, field.name, value)
     if not cfg.metrics:
         raise InvalidConfig(f"metrics must name at least one of: {', '.join(ALL_METRICS)}")
     unknown = set(cfg.metrics) - set(ALL_METRICS)
@@ -131,7 +129,7 @@ def _add_home_opts(parser: argparse.ArgumentParser) -> None:
                         dest="host_attribution")
     parser.add_argument("--tie-rule", choices=TIE_RULES, default=None,
                         dest="tie_rule", help="dominant-region tie handling")
-    parser.add_argument("--intl-requires-distinct-authors", action="store_true",
+    parser.add_argument("--intl-requires-distinct-authors", action="store_true", default=None,
                         dest="intl_requires_distinct_authors")
 
 
@@ -162,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("indicators", help="write indicator tables")
     _add_common(p, output="output directory")
     _add_home_opts(p)
-    p.add_argument("--metrics", default=None,
+    p.add_argument("--metrics", type=parse_metrics, default=None,
                    help=f"comma list from: {', '.join(ALL_METRICS)}")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
@@ -196,10 +194,10 @@ def _make_pipeline(args: argparse.Namespace) -> Pipeline:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
-    scheme = load_scheme(_scheme_path(args))
+    load_scheme(_scheme_path(args))  # the records need no scheme, but a bad --scheme is an error
     problems = 0
     with open_corpus(args.corpus) as fh:
-        for diag in iter_diagnostics(fh, scheme, cfg.window):
+        for diag in iter_diagnostics(fh, cfg.window):
             print(f"careertrace: {args.corpus}: {diag}", file=sys.stderr)
             problems += 1
     if problems:
@@ -221,13 +219,13 @@ def cmd_timelines(args: argparse.Namespace) -> int:
 
 def cmd_moves(args: argparse.Namespace) -> int:
     pipe = _make_pipeline(args)
+    moves, states, timelines = pipe.moves(), pipe.states(), pipe.timelines()
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_table(out_dir / "moves.csv", MOVE_HEADER, moves_to_rows(pipe.moves()))
-    write_table(out_dir / "states.csv", STATE_HEADER, states_to_rows(pipe.states()))
+    write_table(out_dir / "moves.csv", MOVE_HEADER, moves_to_rows(moves))
+    write_table(out_dir / "states.csv", STATE_HEADER, states_to_rows(states))
     # classes follow move patterns only; the origin table lets consumers
     # break any population down by where a career started
-    timelines = pipe.timelines()
     origin_rows = [
         [a, timelines[a].origin_region, "1" if timelines[a].origin_ambiguous else "0"]
         for a in sorted(timelines)
@@ -254,30 +252,28 @@ def cmd_indicators(args: argparse.Namespace) -> int:
 
     pipe = _make_pipeline(args)
     cfg = pipe.cfg
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     want = set(cfg.metrics)
+    # every stage runs before the output directory is made; a table's rows
+    # are built only while it is written
+    build: dict[str, Callable[[], list]] = {}
     if want & {"pp10", "shares", "intl", "class_intl", "direction"}:
         engine = IndicatorEngine(
             pipe.corpus(), pipe.states(), cfg.home, cfg.intl_requires_distinct_authors
         )
         pipe.stages.append({"stage": "indicators", "cache": "off"})
-        for metric, build_rows in (
-            ("pp10", engine.pp10_rows),
-            ("shares", engine.share_rows),
-            ("intl", engine.intl_rows),
-            ("class_intl", engine.class_intl_rows),
-            ("direction", engine.direction_rows),
-        ):
-            if metric in want:
-                write_table(out_dir / f"{metric}.csv", INDICATOR_HEADER, build_rows())
+        build.update(pp10=engine.pp10_rows, shares=engine.share_rows, intl=engine.intl_rows,
+                     class_intl=engine.class_intl_rows, direction=engine.direction_rows)
     if want & {"stocks", "ratio"}:
         cells = pipe.stock_cells()
-        if "stocks" in want:
-            write_table(out_dir / "stocks.csv", STOCK_HEADER, stocks_to_rows(cells))
-        if "ratio" in want:
-            hosts = [r for r in pipe.scheme.labels if r != cfg.home]
-            write_table(out_dir / "ratio.csv", INDICATOR_HEADER, ratio_rows(cells, cfg.home, hosts))
+        hosts = [r for r in pipe.scheme.labels if r != cfg.home]
+        build.update(stocks=lambda: stocks_to_rows(cells),
+                     ratio=lambda: ratio_rows(cells, cfg.home, hosts))
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for metric, rows in build.items():
+        if metric in want:
+            header = STOCK_HEADER if metric == "stocks" else INDICATOR_HEADER
+            write_table(out_dir / f"{metric}.csv", header, rows())
     write_manifest(out_dir / "manifest.json", "indicators", cfg.as_dict(), pipe.inputs(), pipe.stages)
     return 0
 
@@ -389,20 +385,23 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"careertrace: error: {src} is not a directory", file=sys.stderr)
         return 1
     out_dir = Path(args.output) if args.output else src / "report"
+    # every table is read and checked before the first file is written
+    tables = [
+        (name, _read_report_table(src / f"{name}.csv", _INDICATOR_TYPES, lambda row: row[2:4]))
+        for name in ("pp10", "shares", "intl", "class_intl", "direction", "ratio")
+        if (src / f"{name}.csv").exists()
+    ]
+    stocks_path = src / "stocks.csv"
+    stocks = (_read_report_table(stocks_path, _STOCK_TYPES, lambda row: [_class_stem(row[0])])
+              if stocks_path.exists() else None)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_parts = []
     charts: list[str] = []
-    for name in ("pp10", "shares", "intl", "class_intl", "direction", "ratio"):
-        path = src / f"{name}.csv"
-        if not path.exists():
-            continue
-        header, rows, values = _read_report_table(path, _INDICATOR_TYPES, lambda row: row[2:4])
+    for name, (header, rows, values) in tables:
         charts.extend(_chart_indicator_table(values, out_dir))
         summary_parts.append(f"== {name} ==\n" + render_text_table(header, rows))
-    stocks_path = src / "stocks.csv"
-    if stocks_path.exists():
-        header, rows, values = _read_report_table(stocks_path, _STOCK_TYPES,
-                                                   lambda row: [_class_stem(row[0])])
+    if stocks is not None:
+        header, rows, values = stocks
         summary_parts.append("== stocks ==\n" + render_text_table(header, rows))
         by_class: dict[str, dict[int, tuple[float, float]]] = {}
         for class_key, year, preceding, new, _total in values:

@@ -47,8 +47,8 @@ def is_country_code(code: object) -> bool:
 class RegionScheme:
     """Disjoint grouping of country codes into named reporting regions.
 
-    ``label_order`` is a total order over region labels; it breaks exact
-    ties deterministically wherever a single region must be chosen.
+    ``labels`` holds every region label in ``label_order``, a total order
+    that breaks exact ties wherever a single region must be chosen.
     Countries not listed under any region map to ``other_label``.
     """
 
@@ -61,14 +61,14 @@ class RegionScheme:
         self.regions: dict[str, frozenset[str]] = {
             label: frozenset(codes) for label, codes in regions.items()
         }
-        self.label_order: tuple[str, ...] = tuple(label_order)
+        self.labels: tuple[str, ...] = tuple(label_order)
         self.other_label = other_label
         self._validate()
         self._country_to_region: dict[str, str] = {}
         for label, codes in self.regions.items():
             for code in codes:
                 self._country_to_region[code] = label
-        self._rank = {label: i for i, label in enumerate(self.label_order)}
+        self._rank = {label: i for i, label in enumerate(self.labels)}
         self._weights: dict[tuple[str, ...], dict[str, float]] = {}  # regionalize() memo
 
     def _validate(self) -> None:
@@ -88,7 +88,7 @@ class RegionScheme:
                     )
                 seen[code] = label
         labels = set(self.regions) | {self.other_label}
-        order = list(self.label_order)
+        order = list(self.labels)
         if len(order) != len(set(order)):
             raise SchemeError("label_order contains duplicates")
         if set(order) != labels:
@@ -98,10 +98,6 @@ class RegionScheme:
                 f"label_order must list every region label exactly once"
                 f" (missing {sorted(missing)}, unknown {sorted(extra)})"
             )
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.label_order
 
     def region_of(self, country: str) -> str:
         """Region label for a country code; unmapped codes go to the catch-all."""
@@ -359,9 +355,7 @@ def _read(
 
 
 def iter_diagnostics(
-    lines: Iterable[str],
-    scheme: RegionScheme,
-    window: tuple[int, int] | None = None,
+    lines: Iterable[str], window: tuple[int, int] | None = None
 ) -> Iterator[MalformedLine]:
     """Yield every validation problem in the stream (used by ``validate``)."""
     for item in _read(lines, window):

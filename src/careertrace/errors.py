@@ -27,7 +27,6 @@ class SchemeError(CareerTraceError):
 class HomeMismatch(CareerTraceError):
     def __init__(self, home: str):
         super().__init__(f"home region {home!r} is not a label of the scheme")
-        self.home = home
 
 
 class NoStateForYear(CareerTraceError):
@@ -45,7 +44,4 @@ class InvalidConfig(CareerTraceError):
     """A scenario or run configuration failed validation."""
 
     def __init__(self, problems: list[str] | str):
-        if isinstance(problems, str):
-            problems = [problems]
-        super().__init__("; ".join(problems))
-        self.problems = problems
+        super().__init__(problems if isinstance(problems, str) else "; ".join(problems))

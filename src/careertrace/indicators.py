@@ -64,13 +64,12 @@ def nearest_rank_90th(values: list[float]) -> float:
 
 @dataclass(slots=True)
 class PubScore:
-    fwci: float
     top10_fwci: bool
     top10_cits: bool
 
 
 def top10_flags(corpus: Corpus, baselines: Mapping[CohortKey, float]) -> dict[str, PubScore]:
-    """Per-record FWCI plus strict top-decile flags within the year cohort.
+    """Per-record strict top-decile flags within the year cohort.
 
     FWCI flags rank field-normalized scores pooled across fields; citation
     flags rank raw counts. Ties at the threshold are not flagged, which
@@ -90,7 +89,6 @@ def top10_flags(corpus: Corpus, baselines: Mapping[CohortKey, float]) -> dict[st
     for rec in corpus.records:
         score = scores[rec.pub_id]
         out[rec.pub_id] = PubScore(
-            fwci=score,
             top10_fwci=score > fwci_thresholds[rec.year],
             top10_cits=rec.citation_count > cits_thresholds[rec.year],
         )
@@ -176,11 +174,9 @@ class IndicatorEngine:
         home: str,
         require_distinct_authors: bool = False,
     ):
-        self.corpus = corpus
         self.scheme = corpus.scheme
         self.home = home
-        self.require_distinct_authors = require_distinct_authors
-        self.scores = top10_flags(corpus, citation_baselines(corpus))
+        scores = top10_flags(corpus, citation_baselines(corpus))
         self.foreign = [r for r in self.scheme.labels if r != home]
         self.class_series = (
             ["DOM"]
@@ -189,9 +185,10 @@ class IndicatorEngine:
             + [f"ALL->{home}"]
         )
         self.all_series = ["WLD", home] + self.class_series
-        self._run(states)
+        self._run(corpus, states, scores, require_distinct_authors)
 
-    def _run(self, states: Mapping[str, list[MobilityState]]) -> None:
+    def _run(self, corpus: Corpus, states: Mapping[str, list[MobilityState]],
+             scores: Mapping[str, PubScore], require_distinct_authors: bool) -> None:
         home = self.home
         scheme = self.scheme
         classes = {author: {st.year: st.klass for st in sts} for author, sts in states.items()}
@@ -206,11 +203,11 @@ class IndicatorEngine:
         dir_num: dict[tuple[str, str], dict[int, float]] = {}
         dir_den: dict[str, dict[int, float]] = {}
         home_pairs = {f: tuple(sorted((home, f), key=scheme.rank)) for f in self.foreign}
-        for rec in self.corpus.records:
+        for rec in corpus.records:
             year = rec.year
             n = len(rec.authorships)
-            score = self.scores[rec.pub_id]
-            international, pairs = intl_copub(rec, scheme, self.require_distinct_authors)
+            score = scores[rec.pub_id]
+            international, pairs = intl_copub(rec, scheme, require_distinct_authors)
             frac: dict[str, float] = {"WLD": 1.0}
             held: dict[str, float] = {}  # class series -> whole authorship weight held
             rec_region_w: dict[str, float] = {}

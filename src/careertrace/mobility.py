@@ -65,7 +65,6 @@ def returnee_abroad(home: str, host: str) -> str:
 
 @dataclass(slots=True)
 class MoveEvent:
-    author_id: str
     from_region: str
     to_region: str
     year: int
@@ -73,7 +72,6 @@ class MoveEvent:
 
 @dataclass(slots=True)
 class MobilityState:
-    author_id: str
     year: int
     klass: str
     since_year: int
@@ -85,14 +83,7 @@ def detect_moves(timeline: CareerTimeline) -> list[MoveEvent]:
     prev = None
     for pos in timeline.positions:
         if prev is not None and pos.dominant != prev:
-            moves.append(
-                MoveEvent(
-                    author_id=timeline.author_id,
-                    from_region=prev,
-                    to_region=pos.dominant,
-                    year=pos.year,
-                )
-            )
+            moves.append(MoveEvent(from_region=prev, to_region=pos.dominant, year=pos.year))
         prev = pos.dominant
     return moves
 
@@ -142,8 +133,6 @@ def classify(
         if klass is not prev_class:
             since = pos.year
             prev_class = klass
-        states.append(
-            MobilityState(author_id=timeline.author_id, year=pos.year, klass=klass, since_year=since)
-        )
+        states.append(MobilityState(year=pos.year, klass=klass, since_year=since))
     return states
 

@@ -190,7 +190,7 @@ def rows_to_timelines(rows: list[list[str]]) -> dict[str, CareerTimeline]:
     must not be mutated (as with ``regionalize``)."""
     weights_of: dict[str, dict[str, float]] = {}
     out: dict[str, CareerTimeline] = {}
-    for author_id, year, source_pub, dominant, text, ambiguous in rows:
+    for author_id, year, source_pub, dominant, text, _ambiguous in rows:
         weights = weights_of.get(text)
         if weights is None:
             weights = weights_of[text] = _parse_weights(text)
@@ -198,7 +198,7 @@ def rows_to_timelines(rows: list[list[str]]) -> dict[str, CareerTimeline]:
                            dominant=dominant)
         tl = out.get(author_id)
         if tl is None:
-            out[author_id] = CareerTimeline(author_id, [pos], ambiguous == "1")
+            out[author_id] = CareerTimeline([pos])
         else:
             tl.positions.append(pos)
     return out
@@ -215,9 +215,7 @@ def moves_to_rows(moves: dict[str, list[MoveEvent]]) -> list[list[str]]:
 def rows_to_moves(rows: list[list[str]]) -> dict[str, list[MoveEvent]]:
     out: dict[str, list[MoveEvent]] = {}
     for author_id, frm, to, year in rows:
-        out.setdefault(author_id, []).append(
-            MoveEvent(author_id=author_id, from_region=frm, to_region=to, year=int(year))
-        )
+        out.setdefault(author_id, []).append(MoveEvent(from_region=frm, to_region=to, year=int(year)))
     return out
 
 
@@ -236,8 +234,7 @@ def rows_to_states(rows: list[list[str]]) -> dict[str, list[MobilityState]]:
     out: dict[str, list[MobilityState]] = {}
     for author_id, year, key, since_year in rows:
         out.setdefault(author_id, []).append(
-            MobilityState(author_id=author_id, year=int(year), klass=classes.setdefault(key, key),
-                          since_year=int(since_year))
+            MobilityState(year=int(year), klass=classes.setdefault(key, key), since_year=int(since_year))
         )
     return out
 

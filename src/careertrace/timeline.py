@@ -24,13 +24,16 @@ class YearPosition:
 
 @dataclass(slots=True)
 class CareerTimeline:
-    author_id: str
     positions: list[YearPosition]
-    origin_ambiguous: bool = False
 
     @property
     def origin_region(self) -> str:
         return self.positions[0].dominant
+
+    @property
+    def origin_ambiguous(self) -> bool:
+        """True when the first position's top weight is shared by several regions."""
+        return _is_tied(self.positions[0].weights)
 
     @property
     def first_year(self) -> int:
@@ -90,7 +93,7 @@ def build_timelines(corpus: Corpus, tie_rule: str = "hysteresis") -> dict[str, C
             pos = YearPosition(year=rec.year, weights=weights, source_pub=rec.pub_id,
                                dominant=dominant_region(weights, prev_dom, scheme))
             if tl is None:
-                timelines[a.author_id] = CareerTimeline(a.author_id, [pos], _is_tied(weights))
+                timelines[a.author_id] = CareerTimeline([pos])
             else:
                 tl.positions.append(pos)
     return timelines

@@ -1,17 +1,21 @@
 """The package's top-level names are exactly the README's documented API, and the
 benchmark tracer's entry points and counters resolve against the package."""
 
+import ast
 import re
 from pathlib import Path
 
 import careertrace
 from careertrace.cli import run
+from careertrace.report import read_table
 
 from conftest import lines, rec
 
+README = Path(__file__).parent.parent / "README.md"
+
 
 def readme_api() -> set[str]:
-    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = re.search(r"from careertrace import \(([^)]*)\)", readme)
     assert block is not None, "README has no `from careertrace import (...)` block"
     return {name.strip() for name in block.group(1).split(",") if name.strip()}
@@ -23,6 +27,24 @@ def test_all_matches_readme_api():
     assert set(careertrace.__all__) - {"__version__"} == documented
     for name in careertrace.__all__:
         assert hasattr(careertrace, name), name
+
+
+def test_readme_python_api_block_runs(tmp_path, monkeypatch):
+    """The README's Python API block runs on the Quick start corpus, and its
+    last line is the class key ``moves`` writes for that author's first year."""
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert block is not None, "README has no python block"
+    *body, last = ast.parse(block.group(1)).body
+    assert isinstance(last, ast.Expr)
+    monkeypatch.chdir(tmp_path)
+    assert run(["synth", "--seed", "7", "--n-authors", "500",
+                "-o", "corpus.jsonl", "--truth", "truth.jsonl"]) == 0
+    namespace: dict = {}
+    exec(compile(ast.Module(body, type_ignores=[]), "README.md", "exec"), namespace)
+    klass = eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace)
+    assert run(["moves", "corpus.jsonl", "--home", "CHN", "-o", "moves", "--no-cache"]) == 0
+    _header, rows = read_table("moves/states.csv")
+    assert klass == next(row[2] for row in rows if row[0] == "a000042")
 
 
 def load_tracer_module():

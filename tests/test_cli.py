@@ -303,21 +303,33 @@ STOCKS_HEADER = b"class,year,preceding,new_movement,total\n"
      "'Overseas_../../escaped_USA'"),
     ("stocks.csv", STOCKS_HEADER + b'"ReturneeResident(CHN,U S)",2000,1,0,1\n',
      "'ReturneeResident_CHN_U S'"),
+    ("ratio.csv", PP10_HEADER + b"USA,2000,a b,full,0.5\n", "'a b'"),
 ], ids=["value", "short-row", "non-utf8", "stocks-short-row", "stocks-year",
         "metric-path", "counting-path", "metric-subdirectory", "metric-space", "metric-empty",
-        "stock-class-path", "stock-host-space"])
+        "stock-class-path", "stock-host-space", "ratio-metric-space"])
 def test_report_on_malformed_table_is_one_error_line(tmp_path, capsys, name, body, reason):
     src = tmp_path / "a" / "b" / "ind"
     src.mkdir(parents=True)
     path = src / name
     path.write_bytes(body)
+    if name != "pp10.csv":  # a valid table read ahead of the bad one
+        (src / "pp10.csv").write_bytes(PP10_HEADER + b"WLD,2005,pp10_fwci,full,0.5\n")
+    before = set(tmp_path.rglob("*"))
     assert run(["report", str(src)]) == 1
     if reason.startswith("'"):
         reason = (f"line 2: {reason} does not make a plain file name "
                   "(letters, digits, '_' and '-')")
     assert capsys.readouterr().err == f"careertrace: error: {path}: {reason}\n"
-    written = {p for p in tmp_path.rglob("*") if p.is_file()} - {path}
-    assert all(src / "report" in p.parents for p in written), written
+    assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["moves", "indicators"])
+def test_home_outside_the_scheme_writes_nothing(small_corpus, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run([command, str(small_corpus), "-o", str(out), "--no-cache", "--home", "XXX"]) == 1
+    assert capsys.readouterr().err == (
+        "careertrace: error: home region 'XXX' is not a label of the scheme\n")
+    assert not out.exists()
 
 
 def test_metric_selection(small_corpus, tmp_path, monkeypatch):

@@ -129,7 +129,7 @@ def test_diagnostics_match_recorded_seed(scheme, case):
     line, kind, message = SEED_DIAGNOSTICS[case]
     good = json.dumps(rec("p0", 2005, [("a1", ["CHN"])]))
     # the good line first warms the reader's pools, so a pooled value never hides a problem
-    diags = list(iter_diagnostics([good, "", line], scheme))
+    diags = list(iter_diagnostics([good, "", line]))
     assert [(type(d).__name__, str(d), d.line_no) for d in diags] == [(kind, message, 3)]
     with pytest.raises(MalformedLine) as exc:
         parse_corpus([good, "", line], scheme)
@@ -147,7 +147,7 @@ def test_record_split_across_lines_rejected(scheme):
     with pytest.raises(MalformedLine) as exc:
         parse_corpus(body, scheme)
     assert str(exc.value) == "line 1: invalid JSON (Extra data)"
-    assert [str(d) for d in iter_diagnostics(body, scheme)] == [
+    assert [str(d) for d in iter_diagnostics(body)] == [
         "line 1: invalid JSON (Extra data)",
         "line 2: invalid JSON (Extra data)",
     ]
@@ -191,7 +191,7 @@ def test_non_utf8_line_is_a_line_diagnostic(scheme, tmp_path):
         load_corpus(path, scheme)
     assert str(exc.value) == "line 2: not valid UTF-8"
     with open_corpus(path) as fh:
-        assert [str(d) for d in iter_diagnostics(fh, scheme)] == [
+        assert [str(d) for d in iter_diagnostics(fh)] == [
             "line 2: not valid UTF-8",
             "line 3: not valid UTF-8",
         ]
@@ -213,7 +213,7 @@ def test_line_number_in_diagnostics(scheme):
 
 def test_iter_diagnostics_reports_all_problems(scheme):
     good = json.dumps(rec("p1", 2005, [("a1", ["CHN"])]))
-    diags = list(iter_diagnostics([good, "{broken", good], scheme))
+    diags = list(iter_diagnostics([good, "{broken", good]))
     assert len(diags) == 2
     assert isinstance(diags[0], MalformedLine)
     assert type(diags[1]) is MalformedLine
@@ -261,7 +261,7 @@ def test_every_rejected_line_is_one_diagnostic_naming_it(seed, data):
             body[i] = json.dumps(r)
         expected.append(f"line {i + 1}: {reason}")
     scheme = default_scheme()
-    diags = list(iter_diagnostics(body, scheme, window))
+    diags = list(iter_diagnostics(body, window))
     assert all(type(d) is MalformedLine for d in diags)
     assert [d.line_no for d in diags] == [i + 1 for i in sorted(broken)]
     assert all(str(d).startswith(f"line {d.line_no}: ") for d in diags)

@@ -31,7 +31,7 @@ def timeline_of(scheme, *year_countries, author="a1"):
 
 def status_of(tl, year, grace=2):
     """The status ``build_statuses`` gives one author-year, None when it has no cell."""
-    return build_statuses({tl.author_id: tl}, (year, year), grace=grace).get((tl.author_id, year))
+    return build_statuses({"a": tl}, (year, year), grace=grace).get(("a", year))
 
 
 def pipeline_states(scheme, records, home="CHN", grace=2, end_year=None, year_range=None):
