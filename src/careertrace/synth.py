@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field, asdict
 from typing import Iterator
 
@@ -35,8 +36,8 @@ class ScenarioConfig:
         default_factory=lambda: {"CHN": 0.55, "USA": 0.25, "EU28": 0.20}
     )
     pub_probability: float = 0.85
-    # region -> destination -> yearly relocation probability; rows must
-    # leave positive stay mass
+    # region -> destination -> yearly relocation probability; each row sums
+    # to at most 1
     move_hazard: dict[str, dict[str, float]] = field(
         default_factory=lambda: {
             "CHN": {"USA": 0.04, "EU28": 0.02},
@@ -46,7 +47,6 @@ class ScenarioConfig:
     )
     return_hazard: float = 0.08
     retire_hazard: float = 0.02
-    multi_affiliation_probability: float = 0.0
     field_weights: dict[str, float] = field(
         default_factory=lambda: {"F1": 0.4, "F2": 0.35, "F3": 0.25}
     )
@@ -137,7 +137,6 @@ def validate_config(config: ScenarioConfig, scheme: RegionScheme) -> None:
     prob("pub_probability", config.pub_probability)
     prob("return_hazard", config.return_hazard)
     prob("retire_hazard", config.retire_hazard)
-    prob("multi_affiliation_probability", config.multi_affiliation_probability)
     prob("second_field_probability", config.second_field_probability)
     prob("same_region_preference", config.same_region_preference)
     if config.home not in labels:
@@ -170,7 +169,7 @@ def validate_config(config: ScenarioConfig, scheme: RegionScheme) -> None:
             total += p
         if total > 1.0:
             problems.append(f"move_hazard row {src!r} sums to {total} > 1")
-    if not config.field_weights or any(w < 0 for w in config.field_weights.values()):
+    if any(w < 0 for w in config.field_weights.values()) or sum(config.field_weights.values()) <= 0:
         problems.append("field_weights must be non-negative with positive total")
     for f in config.field_weights:
         if f not in config.citation_model:
@@ -180,10 +179,11 @@ def validate_config(config: ScenarioConfig, scheme: RegionScheme) -> None:
             problems.append(f"citation_model[{f!r}] must be (mean >= 0, dispersion > 0)")
         elif params[0] > 1000:
             problems.append(f"citation_model[{f!r}] mean {params[0]} too large (max 1000)")
-    if not config.team_size_weights or any(
+    if any(
         (not isinstance(k, int)) or k < 1 or w < 0 for k, w in config.team_size_weights.items()
-    ):
-        problems.append("team_size_weights must map sizes >= 1 to non-negative weights")
+    ) or sum(config.team_size_weights.values()) <= 0:
+        problems.append("team_size_weights must map sizes >= 1 to non-negative weights "
+                        "with positive total")
     if config.returnee_host_boost < 0:
         problems.append(f"returnee_host_boost must be >= 0, got {config.returnee_host_boost!r}")
     if problems:
@@ -192,7 +192,6 @@ def validate_config(config: ScenarioConfig, scheme: RegionScheme) -> None:
 
 @dataclass
 class AuthorTruth:
-    author_id: str
     origin: str
     moves: list[tuple[str, str, int]]
     classes: dict[int, str]  # active year -> mobility class key
@@ -207,7 +206,7 @@ class GroundTruth:
         for author_id in sorted(self.authors):
             t = self.authors[author_id]
             obj = {
-                "author_id": t.author_id,
+                "author_id": author_id,
                 "origin": t.origin,
                 "moves": [list(m) for m in t.moves],
                 "classes": {str(y): k for y, k in sorted(t.classes.items())},
@@ -229,6 +228,8 @@ def _weighted_choice(rng: random.Random, items: list, weights: list[float]):
 def _poisson(rng: random.Random, lam: float) -> int:
     if lam <= 0:
         return 0
+    if lam > 500:  # exp(-lam) underflows past about 745; a sum of Poissons is Poisson
+        return _poisson(rng, lam / 2) + _poisson(rng, lam / 2)
     limit = math.exp(-lam)
     k = 0
     p = 1.0
@@ -288,18 +289,18 @@ def generate(config: ScenarioConfig, scheme: RegionScheme) -> tuple[Corpus, Grou
 
     author_ids = [f"a{i:06d}" for i in range(config.n_authors)]
     # latent career state
-    locations: list[dict[int, str]] = []  # per author: active year -> region
-    countries: list[dict[int, str]] = []  # per author: active year -> concrete country
+    countries: list[dict[int, tuple[str]]] = []  # per author: active year -> (country,)
     truths: dict[str, AuthorTruth] = {}
-    pool: dict[int, dict[str, list[int]]] = {y: {} for y in range(y0, y1 + 1)}
+    # active year -> region -> authors there; years nobody is active in are absent
+    pool: dict[int, dict[str, list[int]]] = defaultdict(lambda: defaultdict(list))
 
     for idx, author_id in enumerate(author_ids):
         entry = rng.randint(y0, y1)
         origin = _weighted_choice(rng, origin_regions, origin_w)
         loc = origin
-        country = rng.choice(region_countries[origin])
+        listed = (rng.choice(region_countries[origin]),)  # the countries a record lists
         locs: dict[int, str] = {}
-        ctys: dict[int, str] = {}
+        ctys: dict[int, tuple[str]] = {}
         moves: list[tuple[str, str, int]] = []
         retirement: int | None = None
         for year in range(entry, y1 + 1):
@@ -324,46 +325,26 @@ def generate(config: ScenarioConfig, scheme: RegionScheme) -> tuple[Corpus, Grou
                 if new_loc != loc:
                     moves.append((loc, new_loc, year))
                     loc = new_loc
-                    country = rng.choice(region_countries[loc])
+                    listed = (rng.choice(region_countries[loc]),)
             locs[year] = loc
-            ctys[year] = country
-            pool[year].setdefault(loc, []).append(idx)
-        locations.append(locs)
+            ctys[year] = listed
+            pool[year][loc].append(idx)
         countries.append(ctys)
         truths[author_id] = AuthorTruth(
-            author_id=author_id,
             origin=origin,
             moves=moves,
             classes=_true_classes(locs, moves, origin, config.home, config.host_attribution),
             retirement_year=retirement,
         )
 
-    # affiliation-country list per author-year, with optional guest country
-    # carried over from the previous year's location
-    def affiliation(idx: int, year: int) -> tuple[str, ...]:
-        cur = countries[idx][year]
-        if config.multi_affiliation_probability > 0.0 and year - 1 in countries[idx]:
-            if rng.random() < config.multi_affiliation_probability:
-                prev = countries[idx][year - 1]
-                if prev != cur:
-                    return (cur, prev)
-        return (cur,)
-
+    # a returnee-resident lead author's class key -> the former host region
+    former_host = {returnee_resident(config.home, r): r for r in scheme.labels}
     records: list[PublicationRecord] = []
     pub_counter = 0
-    truth_classes_cache = {aid: truths[aid].classes for aid in author_ids}
-    for year in range(y0, y1 + 1):
+    for year in sorted(pool):
         year_pool = pool[year]
         pool_regions = sorted(year_pool)
         seq = 0
-        affiliations: dict[int, tuple[str, ...]] = {}
-
-        def aff(idx: int) -> tuple[str, ...]:
-            got = affiliations.get(idx)
-            if got is None:
-                got = affiliations[idx] = affiliation(idx, year)
-            return got
-
         for region in pool_regions:
             for idx in year_pool[region]:
                 if rng.random() >= config.pub_probability:
@@ -371,10 +352,7 @@ def generate(config: ScenarioConfig, scheme: RegionScheme) -> tuple[Corpus, Grou
                 author_id = author_ids[idx]
                 size = _weighted_choice(rng, team_sizes, team_w)
                 team = [idx]
-                lead_class = truth_classes_cache[author_id].get(year, "")
-                boost_region = None
-                if lead_class.startswith("ReturneeResident("):
-                    boost_region = lead_class[:-1].split(",")[1]
+                boost_region = former_host.get(truths[author_id].classes[year])
                 for _ in range(size - 1):
                     if rng.random() < config.same_region_preference:
                         target = region
@@ -392,9 +370,7 @@ def generate(config: ScenarioConfig, scheme: RegionScheme) -> tuple[Corpus, Grou
                                 target = region
                             else:
                                 target = _weighted_choice(rng, others, w)
-                    candidates = year_pool.get(target, [])
-                    if not candidates:
-                        continue
+                    candidates = year_pool[target]
                     for _attempt in range(4):
                         pick = candidates[rng.randrange(len(candidates))]
                         if pick not in team:
@@ -417,7 +393,7 @@ def generate(config: ScenarioConfig, scheme: RegionScheme) -> tuple[Corpus, Grou
                         doc_type=config.doc_type,
                         citation_count=cites,
                         authorships=tuple(
-                            Authorship(author_ids[m], aff(m)) for m in team
+                            Authorship(author_ids[m], countries[m][year]) for m in team
                         ),
                     )
                 )
@@ -447,8 +423,6 @@ def degrade(
     ):
         if not 0.0 <= p <= 1.0:
             raise InvalidConfig(f"{name} must be in [0,1], got {p!r}")
-    if gap_probability == 0.0 and dual_affiliation_probability == 0.0:
-        return Corpus(records=list(corpus.records), scheme=corpus.scheme, window=corpus.window)
     rng = random.Random(seed)
     scheme = corpus.scheme
 

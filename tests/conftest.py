@@ -27,6 +27,11 @@ def corpus_of(*records, scheme=None, window=None):
     return parse_corpus(lines(*records), scheme or default_scheme(), window)
 
 
+def guest_affiliations(corpus) -> int:
+    """Authorships that list two countries, as dual-affiliation noise makes them."""
+    return sum(len(a.countries) == 2 for r in corpus.records for a in r.authorships)
+
+
 def random_records(rng: random.Random, n: int, years=(2000, 2008)):
     """Small random corpora for oracle-equivalence checks."""
     countries = ["CHN", "USA", "DEU", "FRA", "JPN", "BRA"]

@@ -17,10 +17,10 @@ from careertrace.errors import EmptyReference
 from careertrace.indicators import IndicatorEngine, citation_baselines, top10_flags
 from careertrace.mobility import classify, detect_moves, returnee_abroad, returnee_resident
 from careertrace.stocks import RETIRED, build_statuses, stock_table
-from careertrace.synth import ScenarioConfig, generate
+from careertrace.synth import ScenarioConfig, degrade, generate
 from careertrace.timeline import build_timelines
 
-from conftest import lines, random_records, rec
+from conftest import guest_affiliations, lines, random_records, rec
 from equivalence import compare_pipeline_to_oracle, oracle_record_weights
 
 SCHEME = default_scheme()
@@ -114,22 +114,21 @@ def test_criterion_2_oracle_equivalence():
         assert len(records) <= 200
         compare_pipeline_to_oracle([json.dumps(r) for r in records], SCHEME)
         checked += 1
+    guests = 0
     for seed in range(25):
-        cfg = ScenarioConfig(
-            seed=seed,
-            n_authors=25,
-            year_range=(2004, 2011),
-            multi_affiliation_probability=0.1 if seed % 2 else 0.0,
-        )
-        corpus, _ = generate(cfg, SCHEME)
+        cfg = ScenarioConfig(seed=seed, n_authors=25, year_range=(2004, 2011))
+        corpus, truth = generate(cfg, SCHEME)
+        if seed % 2:
+            corpus = degrade(corpus, truth, dual_affiliation_probability=0.1, seed=seed)
+            guests += guest_affiliations(corpus)
         assert len(corpus.records) <= 200
         compare_pipeline_to_oracle(list(corpus.dump_lines()), SCHEME)
         checked += 1
     elapsed = time.perf_counter() - t0
     _verdict(
         "criterion 2: oracle equivalence on 50 corpora",
-        checked == 50 and elapsed < 30.0,
-        f"{checked} corpora, {elapsed:.1f}s",
+        checked == 50 and guests > 0 and elapsed < 30.0,
+        f"{checked} corpora, {guests} guest affiliations, {elapsed:.1f}s",
     )
 
 
@@ -141,7 +140,6 @@ def test_criterion_3_ground_truth_recovery():
         n_authors=1000,
         year_range=(1998, 2017),
         pub_probability=1.0,
-        multi_affiliation_probability=0.0,
     )
     corpus, truth = generate(cfg, SCHEME)
     timelines = build_timelines(corpus)
@@ -297,8 +295,10 @@ def test_criterion_6_fractional_conservation():
     corpora = [
         [json.dumps(r) for r in random_records(random.Random(s), 150)] for s in (1, 2)
     ]
-    cfg = ScenarioConfig(seed=8, n_authors=150, multi_affiliation_probability=0.2)
-    corpora.append(list(generate(cfg, SCHEME)[0].dump_lines()))
+    cfg = ScenarioConfig(seed=8, n_authors=150)
+    guest_corpus = degrade(*generate(cfg, SCHEME), dual_affiliation_probability=0.2, seed=8)
+    assert guest_affiliations(guest_corpus) > 0
+    corpora.append(list(guest_corpus.dump_lines()))
     series = ["WLD", *SCHEME.labels]
     series += ["DOM", "ALL->CHN", "USA->CHN", "EU28->CHN", "OTHER->CHN"]
     series += ["CHN->USA", "CHN->EU28", "CHN->OTHER"]

@@ -15,10 +15,10 @@ from careertrace.mobility import (
     detect_moves,
 )
 from careertrace.stocks import build_statuses, stock_table
-from careertrace.synth import ScenarioConfig, generate
+from careertrace.synth import ScenarioConfig, degrade, generate
 from careertrace.timeline import build_timelines
 
-from conftest import random_records
+from conftest import guest_affiliations, random_records
 from equivalence import compare_pipeline_to_oracle, oracle_scheme
 
 
@@ -29,15 +29,13 @@ def test_random_corpora_match_oracle(scheme):
 
 
 def test_synthetic_corpora_match_oracle(scheme):
+    guests = 0
     for seed in range(3):
-        cfg = ScenarioConfig(
-            seed=seed,
-            n_authors=30,
-            year_range=(2004, 2011),
-            multi_affiliation_probability=0.15,
-        )
-        corpus, _ = generate(cfg, scheme)
+        cfg = ScenarioConfig(seed=seed, n_authors=30, year_range=(2004, 2011))
+        corpus = degrade(*generate(cfg, scheme), dual_affiliation_probability=0.15, seed=seed)
+        guests += guest_affiliations(corpus)
         compare_pipeline_to_oracle(list(corpus.dump_lines()), scheme)
+    assert guests > 0
 
 
 every_home_and_grace = given(

@@ -1,11 +1,16 @@
+import importlib.util
 import json
+import random
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from careertrace.corpus import parse_corpus
+from careertrace.corpus import default_scheme, parse_corpus
 from careertrace.errors import InvalidConfig
 from careertrace.mobility import classify, detect_moves
-from careertrace.synth import ScenarioConfig, degrade, generate, validate_config
+from careertrace.synth import ScenarioConfig, _poisson, degrade, generate, validate_config
 from careertrace.timeline import build_timelines
 
 
@@ -15,7 +20,6 @@ def noise_free(seed=0, n_authors=150, years=(2000, 2011)):
         n_authors=n_authors,
         year_range=years,
         pub_probability=1.0,
-        multi_affiliation_probability=0.0,
     )
 
 
@@ -82,14 +86,14 @@ def test_noise_free_class_recovery(scheme):
 
 def test_truth_class_monotonicity(scheme):
     _, truth = generate(ScenarioConfig(seed=7, n_authors=120), scheme)
-    for t in truth.authors.values():
+    for author, t in truth.authors.items():
         seen_returnee = False
         for year in sorted(t.classes):
             is_ret = t.classes[year].startswith("Returnee")
             if is_ret:
                 seen_returnee = True
             if seen_returnee:
-                assert is_ret, (t.author_id, year)
+                assert is_ret, (author, year)
 
 
 def test_truth_round_trip(scheme):
@@ -154,6 +158,8 @@ def test_invalid_config_reports_every_problem(scheme):
         pub_probability=1.5,
         move_hazard={"CHN": {"CHN": 0.5, "XXX": 0.9}},
         home="MARS",
+        field_weights={"F1": 0.0, "F2": 0.0, "F3": 0.0},
+        team_size_weights={1: 0.0, 2: 0.0},
     )
     with pytest.raises(InvalidConfig) as exc:
         validate_config(cfg, scheme)
@@ -162,6 +168,8 @@ def test_invalid_config_reports_every_problem(scheme):
     assert "pub_probability" in text
     assert "targets itself" in text
     assert "MARS" in text
+    assert "field_weights must be non-negative with positive total" in text
+    assert "team_size_weights must map sizes >= 1 to non-negative weights with positive total" in text
 
 
 def test_config_json_round_trip(scheme):
@@ -171,8 +179,9 @@ def test_config_json_round_trip(scheme):
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(InvalidConfig):
-        ScenarioConfig.from_json('{"bogus": 1}')
+    for key in ("bogus", "multi_affiliation_probability"):
+        with pytest.raises(InvalidConfig, match=f"unknown config key '{key}'"):
+            ScenarioConfig.from_json(json.dumps({key: 0.1}))
 
 
 def test_retirement_year_consistency(scheme):
@@ -186,3 +195,49 @@ def test_retirement_year_consistency(scheme):
             assert t.retirement_year == years[-1] + 1
         else:
             assert years[-1] == 2010
+
+
+def test_poisson_mean_holds_past_exp_underflow():
+    """exp(-lam) underflows past a mean of about 745; large means must not cap there."""
+    rng = random.Random(3)
+    for lam in (1000.0, 3000.0):
+        draws = [_poisson(rng, lam) for _ in range(300)]
+        assert abs(sum(draws) / len(draws) / lam - 1.0) < 0.03, lam
+
+
+def test_generate_memory_follows_active_years_not_span(scheme):
+    """Years nobody is active in cost nothing: a span of a million years stays small."""
+    cfg = ScenarioConfig(seed=2, n_authors=50, year_range=(1, 1_000_000))
+    tracemalloc.start()
+    try:
+        corpus, truth = generate(cfg, scheme)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(truth.authors) == 50 and corpus.records
+    assert peak < 10 * 2**20, peak
+
+
+def load_workloads_module(monkeypatch):
+    """The benchmark's ``perfbench/workloads.py``, loaded by path."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's string annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_corpora_match_their_pins(tmp_path, monkeypatch):
+    """The seed-1 corpus of every benchmark workload is byte for byte the pinned one,
+    so a changed random draw fails here and not only at benchmark set-up."""
+    workloads = load_workloads_module(monkeypatch)
+    pins = json.loads((Path(workloads.__file__).parent / "pins.json").read_text(encoding="utf-8"))
+    assert set(pins["workloads"]) == set(workloads.WORKLOADS)
+    for name, pinned in pins["workloads"].items():
+        _, _, digest, records = workloads.build_corpus(
+            workloads.WORKLOADS[name], 1, default_scheme(), tmp_path / f"{name}.jsonl"
+        )
+        assert (digest, records) == (pinned["seeds"]["1"]["corpus_sha256"],
+                                     pinned["seeds"]["1"]["records"]), name
