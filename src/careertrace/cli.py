@@ -257,6 +257,8 @@ def cmd_indicators(args: argparse.Namespace) -> int:
     # are built only while it is written
     build: dict[str, Callable[[], list]] = {}
     if want & {"pp10", "shares", "intl", "class_intl", "direction"}:
+        # the corpus is taken before the states, so that building timelines
+        # reads this one parse; it is freed when the engine returns
         engine = IndicatorEngine(
             pipe.corpus(), pipe.states(), cfg.home, cfg.intl_requires_distinct_authors
         )
@@ -444,11 +446,11 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    # A command's records, positions, states and scores form no reference
-    # cycles and live until it ends, so the cyclic collector would only
-    # rescan them; reference counting frees everything else. The caller's
-    # collector state comes back as it was, because tests and the benchmark's
-    # traced run call run in-process.
+    # A command's records, positions and states form no reference cycles,
+    # so the cyclic collector would only rescan them. Reference counting
+    # frees the records once the pipeline's last reader drops them, and the
+    # rest when the command ends. The caller's collector state comes back as
+    # it was, because tests and the benchmark's traced run call run in-process.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -164,7 +164,7 @@ class PublicationRecord:
     authorships: tuple[Authorship, ...]
 
 
-@dataclass(slots=True)
+@dataclass  # no slots: one per run, and the pipeline holds it by weak reference
 class Corpus:
     """Validated records in canonical (year, seq, pub_id) order."""
 
@@ -194,14 +194,17 @@ def dump_record(rec: PublicationRecord) -> str:
 
 
 class _Pools:
-    """Per-parse pools. Repeated strings, field lists, country codes and
-    authorships share one object each; a value enters its pool only once it
-    has passed validation, so a pool hit needs no further check."""
+    """Per-parse pools. Repeated strings, years and seqs, field lists, country
+    codes and authorships share one object each; a value enters its pool only
+    once it has passed validation, so a pool hit needs no further check."""
 
-    __slots__ = ("strings", "fields", "codes", "authorships")
+    __slots__ = ("strings", "ints", "fields", "codes", "authorships")
 
     def __init__(self) -> None:
         self.strings: dict[str, str] = {}
+        # years lie past CPython's cache of small ints, so each parsed year
+        # would otherwise be its own object
+        self.ints: dict[int, int] = {}
         self.fields: dict[tuple[str, ...], tuple[str, ...]] = {}
         self.codes: dict[str, str] = {}
         self.authorships: dict[tuple[str, ...], Authorship] = {}
@@ -265,8 +268,8 @@ def _parse_record(obj: object, line_no: int, pools: _Pools) -> PublicationRecord
         authorships.append(authorship)
     return PublicationRecord(
         pub_id=pub_id,
-        year=year,
-        seq=seq,
+        year=pools.ints.setdefault(year, year),
+        seq=pools.ints.setdefault(seq, seq),
         field_codes=field_codes,
         doc_type=pools.strings.setdefault(doc_type, doc_type),
         citation_count=cites,

@@ -19,7 +19,6 @@ and on raw citation counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import Corpus, PublicationRecord, RegionScheme, regionalize
@@ -62,37 +61,29 @@ def nearest_rank_90th(values: list[float]) -> float:
     return ordered[rank - 1]
 
 
-@dataclass(slots=True)
-class PubScore:
-    top10_fwci: bool
-    top10_cits: bool
-
-
-def top10_flags(corpus: Corpus, baselines: Mapping[CohortKey, float]) -> dict[str, PubScore]:
-    """Per-record strict top-decile flags within the year cohort.
+def top10_flags(
+    corpus: Corpus, baselines: Mapping[CohortKey, float]
+) -> tuple[list[bool], list[bool]]:
+    """Per-record strict top-decile flags within the year cohort: the FWCI
+    flags and the citation flags, each index-aligned with ``corpus.records``.
 
     FWCI flags rank field-normalized scores pooled across fields; citation
     flags rank raw counts. Ties at the threshold are not flagged, which
     keeps the world share at 10% up to cohort granularity.
     """
+    records = corpus.records
+    scores = [fwci(rec, baselines) for rec in records]
     fwci_by_year: dict[int, list[float]] = {}
     cits_by_year: dict[int, list[int]] = {}
-    scores: dict[str, float] = {}
-    for rec in corpus.records:
-        score = fwci(rec, baselines)
-        scores[rec.pub_id] = score
+    for rec, score in zip(records, scores):
         fwci_by_year.setdefault(rec.year, []).append(score)
         cits_by_year.setdefault(rec.year, []).append(rec.citation_count)
     fwci_thresholds = {y: nearest_rank_90th(v) for y, v in fwci_by_year.items()}
     cits_thresholds = {y: nearest_rank_90th(v) for y, v in cits_by_year.items()}
-    out: dict[str, PubScore] = {}
-    for rec in corpus.records:
-        score = scores[rec.pub_id]
-        out[rec.pub_id] = PubScore(
-            top10_fwci=score > fwci_thresholds[rec.year],
-            top10_cits=rec.citation_count > cits_thresholds[rec.year],
-        )
-    return out
+    del fwci_by_year, cits_by_year  # read only for their thresholds
+    fwci_flags = [score > fwci_thresholds[rec.year] for rec, score in zip(records, scores)]
+    cits_flags = [rec.citation_count > cits_thresholds[rec.year] for rec in records]
+    return fwci_flags, cits_flags
 
 
 def intl_copub(
@@ -176,7 +167,7 @@ class IndicatorEngine:
     ):
         self.scheme = corpus.scheme
         self.home = home
-        scores = top10_flags(corpus, citation_baselines(corpus))
+        flags = top10_flags(corpus, citation_baselines(corpus))
         self.foreign = [r for r in self.scheme.labels if r != home]
         self.class_series = (
             ["DOM"]
@@ -185,10 +176,10 @@ class IndicatorEngine:
             + [f"ALL->{home}"]
         )
         self.all_series = ["WLD", home] + self.class_series
-        self._run(corpus, states, scores, require_distinct_authors)
+        self._run(corpus, states, flags, require_distinct_authors)
 
     def _run(self, corpus: Corpus, states: Mapping[str, list[MobilityState]],
-             scores: Mapping[str, PubScore], require_distinct_authors: bool) -> None:
+             flags: tuple[list[bool], list[bool]], require_distinct_authors: bool) -> None:
         home = self.home
         scheme = self.scheme
         classes = {author: {st.year: st.klass for st in sts} for author, sts in states.items()}
@@ -203,10 +194,9 @@ class IndicatorEngine:
         dir_num: dict[tuple[str, str], dict[int, float]] = {}
         dir_den: dict[str, dict[int, float]] = {}
         home_pairs = {f: tuple(sorted((home, f), key=scheme.rank)) for f in self.foreign}
-        for rec in corpus.records:
+        for rec, top_fwci, top_cits in zip(corpus.records, *flags):
             year = rec.year
             n = len(rec.authorships)
-            score = scores[rec.pub_id]
             international, pairs = intl_copub(rec, scheme, require_distinct_authors)
             frac: dict[str, float] = {"WLD": 1.0}
             held: dict[str, float] = {}  # class series -> whole authorship weight held
@@ -242,10 +232,10 @@ class IndicatorEngine:
                     slot = by_year[series] = [0.0] * 8
                 slot[_FRAC] += f
                 slot[_FULL] += 1.0
-                if score.top10_fwci:
+                if top_fwci:
                     slot[_T10F_FRAC] += f
                     slot[_T10F_FULL] += 1.0
-                if score.top10_cits:
+                if top_cits:
                     slot[_T10C_FRAC] += f
                     slot[_T10C_FULL] += 1.0
                 if intl_home:

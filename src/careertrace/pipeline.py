@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import sys
+import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -262,14 +263,23 @@ class Pipeline:
         self.corpus_hash = sha256_file(corpus_path)
         self.scheme_hash = sha256_file(scheme_path)
         self.stages: list[dict] = []
-        self._corpus: Corpus | None = None
+        self._corpus: weakref.ref[Corpus] | None = None
         self._built: dict[str, object] = {}
 
     def corpus(self) -> Corpus:
+        """The parsed corpus, parsed at most once per run. The pipeline holds it
+        only by weak reference, so the records are freed as soon as their last
+        reader drops them (for the stages, once timelines are built); a call
+        after that raises rather than parse again."""
         if self._corpus is None:
-            self._corpus = load_corpus(self.corpus_path, self.scheme, self.cfg.window)
+            corpus = load_corpus(self.corpus_path, self.scheme, self.cfg.window)
+            self._corpus = weakref.ref(corpus)
             self.stages.append({"stage": "parse", "cache": "off"})
-        return self._corpus
+            return corpus
+        corpus = self._corpus()
+        if corpus is None:
+            raise RuntimeError("the corpus was released after its last reader")
+        return corpus
 
     def _cached(self, stage: str, header: list[str], build, to_rows, from_rows):
         """One stage's value, built once per run: decoded from the cache on a hit,

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +63,17 @@ def random_records(rng: random.Random, n: int, years=(2000, 2008)):
             )
         )
     return records
+
+
+def load_workloads_module(monkeypatch):
+    """The benchmark's ``perfbench/workloads.py``, loaded by path."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's string annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -87,13 +87,14 @@ def compare_pipeline_to_oracle(corpus_lines: list[str], scheme, home: str = "CHN
     assert set(baselines) == set(bf_base)
     for key, value in bf_base.items():
         assert_close(baselines[key], value, RATIO_TOL, f"baseline {key}")
-    scores = top10_flags(corpus, baselines)
+    fwci_flags, cits_flags = top10_flags(corpus, baselines)
     bf_scores = bf.top10(records)
-    by_id = {rec.pub_id: rec for rec in corpus.records}
-    for pub_id, (score, t_fwci, t_cits) in bf_scores.items():
-        assert_close(fwci(by_id[pub_id], baselines), score, RATIO_TOL, f"fwci {pub_id}")
-        assert scores[pub_id].top10_fwci == t_fwci, pub_id
-        assert scores[pub_id].top10_cits == t_cits, pub_id
+    assert len(fwci_flags) == len(cits_flags) == len(corpus.records) == len(bf_scores)
+    for rec, got_fwci, got_cits in zip(corpus.records, fwci_flags, cits_flags):
+        score, t_fwci, t_cits = bf_scores[rec.pub_id]
+        assert_close(fwci(rec, baselines), score, RATIO_TOL, f"fwci {rec.pub_id}")
+        assert got_fwci == t_fwci, rec.pub_id
+        assert got_cits == t_cits, rec.pub_id
 
     # indicator families from the engine
     engine = IndicatorEngine(corpus, states, home)

@@ -4,7 +4,10 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -269,19 +272,16 @@ def test_criterion_5_pp10_calibration():
     t0 = time.perf_counter()
     corpus = _pp10_corpus()
     n = len(corpus.records)
-    flags = top10_flags(corpus, citation_baselines(corpus))
-    pp10 = sum(1 for s in flags.values() if s.top10_fwci) / n
+    fwci_flags, cits_flags = top10_flags(corpus, citation_baselines(corpus))
+    pp10 = sum(fwci_flags) / n
     in_band = abs(pp10 - 0.10) <= 0.005
 
-    # rank invariance: scaling every citation count leaves flags unchanged
+    # rank invariance: scaling every citation count leaves flags unchanged;
+    # the scaled corpus keeps the record order, so the flags align by position
     scaled_records = [replace(r, citation_count=r.citation_count * 3) for r in corpus.records]
     scaled = Corpus(records=scaled_records, scheme=corpus.scheme, window=corpus.window)
-    scaled_flags = top10_flags(scaled, citation_baselines(scaled))
-    invariant = all(
-        flags[p].top10_fwci == scaled_flags[p].top10_fwci
-        and flags[p].top10_cits == scaled_flags[p].top10_cits
-        for p in flags
-    )
+    scaled_fwci, scaled_cits = top10_flags(scaled, citation_baselines(scaled))
+    invariant = scaled_fwci == fwci_flags and scaled_cits == cits_flags
     elapsed = time.perf_counter() - t0
     _verdict(
         "criterion 5: PP10 calibration",
@@ -427,7 +427,8 @@ def test_criterion_8_determinism(tmp_path):
 
 @pytest.mark.slow
 def test_criterion_9_scale_smoke(tmp_path):
-    """100k authors, 30 years, ~1M records through the full pipeline in < 5 min."""
+    """100k authors, 30 years, ~1M records through the full pipeline in < 5 min,
+    with `indicators` peaking at no more than 760 MB."""
     scenario = {
         "seed": 1,
         "n_authors": 100_000,
@@ -448,13 +449,22 @@ def test_criterion_9_scale_smoke(tmp_path):
     assert run(["synth", "--config", str(cfg_path), "-o", str(corpus_path),
                 "--truth", str(tmp_path / "truth.jsonl")]) == 0
     t1 = time.perf_counter()
-    assert run(["indicators", str(corpus_path), "-o", str(tmp_path / "ind"),
-                "--no-cache", "--end-year", "2017"]) == 0
+    # a child process of its own, so that its peak memory is the command's alone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "careertrace.cli", "indicators", str(corpus_path),
+         "-o", str(tmp_path / "ind"), "--no-cache", "--end-year", "2017"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    _pid, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
     t2 = time.perf_counter()
+    max_rss_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
     n_records = sum(1 for _ in open(corpus_path, encoding="utf-8"))
     elapsed = t2 - t0
     _verdict(
         "criterion 9: scale smoke test",
-        1_000_000 <= n_records <= 2_000_000 and elapsed < 300.0,
-        f"records={n_records} synth={t1 - t0:.0f}s indicators={t2 - t1:.0f}s total={elapsed:.0f}s",
+        1_000_000 <= n_records <= 2_000_000 and elapsed < 300.0 and max_rss_mb <= 760.0,
+        f"records={n_records} synth={t1 - t0:.0f}s indicators={t2 - t1:.0f}s total={elapsed:.0f}s "
+        f"indicators_max_rss={max_rss_mb:.0f}MB",
     )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from careertrace.corpus import default_scheme, parse_corpus, regionalize
+from careertrace.corpus import Corpus, default_scheme, parse_corpus, regionalize
 from careertrace.errors import EmptyReference
 from careertrace.indicators import (
     IndicatorEngine,
@@ -102,10 +102,11 @@ def test_top10_twenty_distinct_values_flags_two(scheme):
     corpus = corpus_of(
         *[rec(f"p{i:02d}", 2005, [(f"a{i}", ["CHN"])], cites=i) for i in range(20)]
     )
-    scores = top10_flags(corpus, citation_baselines(corpus))
-    flagged = [p for p, s in scores.items() if s.top10_fwci]
+    fwci_flags, cits_flags = top10_flags(corpus, citation_baselines(corpus))
+    ids = [r.pub_id for r in corpus.records]
+    flagged = [p for p, flag in zip(ids, fwci_flags) if flag]
     assert sorted(flagged) == ["p18", "p19"]
-    flagged_cits = [p for p, s in scores.items() if s.top10_cits]
+    flagged_cits = [p for p, flag in zip(ids, cits_flags) if flag]
     assert sorted(flagged_cits) == ["p18", "p19"]
 
 
@@ -113,8 +114,8 @@ def test_top10_identical_values_flags_none(scheme):
     corpus = corpus_of(
         *[rec(f"p{i}", 2005, [(f"a{i}", ["CHN"])], cites=5) for i in range(10)]
     )
-    scores = top10_flags(corpus, citation_baselines(corpus))
-    assert not any(s.top10_fwci or s.top10_cits for s in scores.values())
+    fwci_flags, cits_flags = top10_flags(corpus, citation_baselines(corpus))
+    assert not any(f or c for f, c in zip(fwci_flags, cits_flags))
 
 
 def test_nearest_rank_90th():
@@ -127,9 +128,29 @@ def test_top10_year_cohorts_are_separate(scheme):
     records = [rec(f"p{i:02d}", 2005, [(f"a{i}", ["CHN"])], cites=i) for i in range(10)]
     records += [rec(f"q{i:02d}", 2006, [(f"b{i}", ["CHN"])], cites=100 + i) for i in range(10)]
     corpus = corpus_of(*records)
-    scores = top10_flags(corpus, citation_baselines(corpus))
+    _fwci_flags, cits_flags = top10_flags(corpus, citation_baselines(corpus))
     # each year cohort flags its own top value only
-    assert {p for p, s in scores.items() if s.top10_cits} == {"p09", "q09"}
+    assert {r.pub_id for r, flag in zip(corpus.records, cits_flags) if flag} == {"p09", "q09"}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_top10_flags_by_position_match_oracle(seed):
+    """The flags are index-aligned with the records they are given, also when
+    those are not in year order (``synth`` builds corpora directly)."""
+    corpus_lines = lines(*random_records(random.Random(seed), 80, years=(2000, 2003)))
+    expected = bf.top10(bf.parse_records(corpus_lines))
+    corpus = parse_corpus(corpus_lines, default_scheme())
+    shuffled = list(corpus.records)
+    random.Random(seed).shuffle(shuffled)
+    assert [r.year for r in shuffled] != sorted(r.year for r in shuffled)
+    for records in (corpus.records, shuffled):
+        c = Corpus(records=records, scheme=corpus.scheme, window=corpus.window)
+        fwci_flags, cits_flags = top10_flags(c, citation_baselines(c))
+        assert len(fwci_flags) == len(cits_flags) == len(records) == len(expected)
+        for rec, got_fwci, got_cits in zip(records, fwci_flags, cits_flags):
+            _score, t_fwci, t_cits = expected[rec.pub_id]
+            assert (got_fwci, got_cits) == (t_fwci, t_cits), rec.pub_id
 
 
 def test_pp10_rank_invariance_under_citation_scaling(scheme):
@@ -138,11 +159,12 @@ def test_pp10_rank_invariance_under_citation_scaling(scheme):
     corpus_a = corpus_of(*records)
     scaled = [dict(r, cites=r["cites"] * 7) for r in records]
     corpus_b = corpus_of(*scaled)
-    flags_a = top10_flags(corpus_a, citation_baselines(corpus_a))
-    flags_b = top10_flags(corpus_b, citation_baselines(corpus_b))
-    for pub_id in flags_a:
-        assert flags_a[pub_id].top10_fwci == flags_b[pub_id].top10_fwci
-        assert flags_a[pub_id].top10_cits == flags_b[pub_id].top10_cits
+    fwci_a, cits_a = top10_flags(corpus_a, citation_baselines(corpus_a))
+    fwci_b, cits_b = top10_flags(corpus_b, citation_baselines(corpus_b))
+    # scaling moves no record, so position i is the same pub_id in both
+    assert [r.pub_id for r in corpus_a.records] == [r.pub_id for r in corpus_b.records]
+    assert fwci_a == fwci_b
+    assert cits_a == cits_b
 
 
 def test_output_share_zero_population(scheme):
@@ -418,9 +440,10 @@ def test_engine_pp10_world_equals_flag_share(scheme):
     corpus = corpus_of(*records)
     states = states_for(corpus)
     engine = IndicatorEngine(corpus, states, "CHN")
-    flags = top10_flags(corpus, citation_baselines(corpus))
+    fwci_flags, _cits_flags = top10_flags(corpus, citation_baselines(corpus))
     rows = {(r.population, r.year, r.metric, r.counting): r.value for r in engine.pp10_rows()}
     for year in sorted({r.year for r in corpus.records}):
         year_recs = [r for r in corpus.records if r.year == year]
-        expected = sum(1 for r in year_recs if flags[r.pub_id].top10_fwci) / len(year_recs)
+        flagged = [r for r, flag in zip(corpus.records, fwci_flags) if flag and r.year == year]
+        expected = len(flagged) / len(year_recs)
         assert rows[("WLD", year, "pp10_fwci", "full")] == pytest.approx(expected)

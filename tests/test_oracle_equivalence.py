@@ -1,6 +1,7 @@
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from careertrace.stocks import build_statuses, stock_table
 from careertrace.synth import ScenarioConfig, degrade, generate
 from careertrace.timeline import build_timelines
 
-from conftest import guest_affiliations, random_records
+from conftest import guest_affiliations, load_workloads_module, random_records
 from equivalence import compare_pipeline_to_oracle, oracle_scheme
 
 
@@ -36,6 +37,18 @@ def test_synthetic_corpora_match_oracle(scheme):
         guests += guest_affiliations(corpus)
         compare_pipeline_to_oracle(list(corpus.dump_lines()), scheme)
     assert guests > 0
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_benchmark_oracle_self_check_passes(seed, monkeypatch):
+    """The benchmark checks each workload against the oracle before it measures,
+    and takes only an AssertionError there as a failed check; any other error
+    in the comparison ends its run with a traceback. So run that check here."""
+    workloads = load_workloads_module(monkeypatch)
+    scheme = default_scheme()
+    for workload in workloads.WORKLOADS.values():
+        corpus, _ = workload.generate(seed, scheme, workloads.ORACLE_AUTHORS)
+        compare_pipeline_to_oracle(list(corpus.dump_lines()), scheme)
 
 
 every_home_and_grace = given(

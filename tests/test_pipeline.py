@@ -1,18 +1,25 @@
 """The stage-row codecs behind the table cache: each stage survives a round
 trip through its rows, and the decoders share what they can. No stage or
-codec writes to the records, timelines, moves or states it reads."""
+codec writes to the records, timelines, moves or states it reads, and the
+pipeline releases the parsed corpus after its last reader."""
 
 import copy
+import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from careertrace.corpus import default_scheme, parse_corpus
+from careertrace import cli, pipeline
+from careertrace.cli import run
+from careertrace.corpus import default_scheme, default_scheme_path, parse_corpus
 from careertrace.indicators import IndicatorEngine
 from careertrace.mobility import HOST_ATTRIBUTIONS, classify, detect_moves
 from careertrace.pipeline import (
+    Pipeline,
+    RunConfig,
     moves_to_rows,
     rows_to_moves,
     rows_to_states,
@@ -108,3 +115,63 @@ def test_stages_leave_their_inputs_unmutated(seed):
     shared = {}
     for pos in _positions(decoded):
         assert shared.setdefault(tuple(pos.weights.items()), pos.weights) is pos.weights
+
+
+def _watch_parses(monkeypatch) -> list[weakref.ref]:
+    """Weak references to every corpus the pipeline parses, in order."""
+    refs = []
+    load = pipeline.load_corpus
+
+    def watched(*args, **kwargs):
+        corpus = load(*args, **kwargs)
+        refs.append(weakref.ref(corpus))
+        return corpus
+
+    monkeypatch.setattr(pipeline, "load_corpus", watched)
+    return refs
+
+
+def _corpus_file(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines(*random_records(random.Random(4), 80))) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("stage", ["timelines", "moves", "states", "stock_cells"])
+def test_stages_release_the_corpus_once_timelines_are_built(stage, tmp_path, monkeypatch):
+    """No stage after timelines reads records, so none keeps them; asking for
+    the corpus again raises instead of parsing it a second time."""
+    refs = _watch_parses(monkeypatch)
+    pipe = Pipeline(_corpus_file(tmp_path), default_scheme_path(), RunConfig(), None)
+    getattr(pipe, stage)()
+    assert len(refs) == 1 and refs[0]() is None
+    with pytest.raises(RuntimeError):
+        pipe.corpus()
+    assert [s["stage"] for s in pipe.stages].count("parse") == 1
+
+
+def test_indicators_release_the_corpus_when_the_engine_returns(tmp_path, monkeypatch):
+    """Cold, the timelines stage and the engine read one parse; with a warm
+    cache only the engine does. Either way no record is alive once the
+    output tables are written."""
+    refs = _watch_parses(monkeypatch)
+    alive_at_write = []
+    write = cli.write_table
+
+    def watched_write(*args):
+        alive_at_write.append(any(ref() is not None for ref in refs))
+        return write(*args)
+
+    monkeypatch.setattr(cli, "write_table", watched_write)
+    corpus = _corpus_file(tmp_path)
+    for outcome in ("miss", "hit"):
+        out = tmp_path / outcome
+        alive_at_write.clear()
+        assert run(["indicators", str(corpus), "-o", str(out),
+                    "--cache-dir", str(tmp_path / "cache")]) == 0
+        stages = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
+        assert [s["stage"] for s in stages].count("parse") == 1
+        assert [s["cache"] for s in stages if s["stage"] == "states"] == [outcome]
+        assert alive_at_write and not any(alive_at_write), outcome
+    assert len(refs) == 2

@@ -1,7 +1,5 @@
-import importlib.util
 import json
 import random
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +10,8 @@ from careertrace.errors import InvalidConfig
 from careertrace.mobility import classify, detect_moves
 from careertrace.synth import ScenarioConfig, _poisson, degrade, generate, validate_config
 from careertrace.timeline import build_timelines
+
+from conftest import load_workloads_module
 
 
 def noise_free(seed=0, n_authors=150, years=(2000, 2011)):
@@ -216,17 +216,6 @@ def test_generate_memory_follows_active_years_not_span(scheme):
         tracemalloc.stop()
     assert len(truth.authors) == 50 and corpus.records
     assert peak < 10 * 2**20, peak
-
-
-def load_workloads_module(monkeypatch):
-    """The benchmark's ``perfbench/workloads.py``, loaded by path."""
-    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses resolve the module's string annotations through sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_benchmark_corpora_match_their_pins(tmp_path, monkeypatch):
