@@ -257,11 +257,8 @@ def cmd_indicators(args: argparse.Namespace) -> int:
     # are built only while it is written
     build: dict[str, Callable[[], list]] = {}
     if want & {"pp10", "shares", "intl", "class_intl", "direction"}:
-        # the corpus is taken before the states, so that building timelines
-        # reads this one parse; it is freed when the engine returns
-        engine = IndicatorEngine(
-            pipe.corpus(), pipe.states(), cfg.home, cfg.intl_requires_distinct_authors
-        )
+        # the engine keeps no record, so the corpus is freed when it returns
+        engine = IndicatorEngine(*pipe.engine_inputs(), cfg.home, cfg.intl_requires_distinct_authors)
         pipe.stages.append({"stage": "indicators", "cache": "off"})
         build.update(pp10=engine.pp10_rows, shares=engine.share_rows, intl=engine.intl_rows,
                      class_intl=engine.class_intl_rows, direction=engine.direction_rows)

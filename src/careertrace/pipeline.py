@@ -267,19 +267,24 @@ class Pipeline:
         self._built: dict[str, object] = {}
 
     def corpus(self) -> Corpus:
-        """The parsed corpus, parsed at most once per run. The pipeline holds it
-        only by weak reference, so the records are freed as soon as their last
-        reader drops them (for the stages, once timelines are built); a call
-        after that raises rather than parse again."""
-        if self._corpus is None:
+        """The parsed corpus. The pipeline holds it only by weak reference, so
+        the records are freed as soon as their last reader drops them: building
+        timelines, or the indicator engine (see ``engine_inputs``). A stage built
+        after that parses again, which the stages list shows; that happens only
+        when the cache lost a timelines entry that a later stage needs."""
+        corpus = self._corpus() if self._corpus is not None else None
+        if corpus is None:
             corpus = load_corpus(self.corpus_path, self.scheme, self.cfg.window)
             self._corpus = weakref.ref(corpus)
             self.stages.append({"stage": "parse", "cache": "off"})
-            return corpus
-        corpus = self._corpus()
-        if corpus is None:
-            raise RuntimeError("the corpus was released after its last reader")
         return corpus
+
+    def engine_inputs(self) -> tuple[Corpus, dict[str, list[MobilityState]]]:
+        """The corpus and states the indicator engine reads. The corpus is taken
+        first, so that states built cold read this same parse; it is freed once
+        the caller drops it."""
+        corpus = self.corpus()
+        return corpus, self.states()
 
     def _cached(self, stage: str, header: list[str], build, to_rows, from_rows):
         """One stage's value, built once per run: decoded from the cache on a hit,

@@ -140,14 +140,13 @@ def _corpus_file(tmp_path):
 
 @pytest.mark.parametrize("stage", ["timelines", "moves", "states", "stock_cells"])
 def test_stages_release_the_corpus_once_timelines_are_built(stage, tmp_path, monkeypatch):
-    """No stage after timelines reads records, so none keeps them; asking for
-    the corpus again raises instead of parsing it a second time."""
+    """No stage after timelines reads records, so none keeps them, and none
+    parses them a second time."""
     refs = _watch_parses(monkeypatch)
     pipe = Pipeline(_corpus_file(tmp_path), default_scheme_path(), RunConfig(), None)
     getattr(pipe, stage)()
+    pipe.stock_cells()
     assert len(refs) == 1 and refs[0]() is None
-    with pytest.raises(RuntimeError):
-        pipe.corpus()
     assert [s["stage"] for s in pipe.stages].count("parse") == 1
 
 
@@ -175,3 +174,29 @@ def test_indicators_release_the_corpus_when_the_engine_returns(tmp_path, monkeyp
         assert [s["cache"] for s in stages if s["stage"] == "states"] == [outcome]
         assert alive_at_write and not any(alive_at_write), outcome
     assert len(refs) == 2
+
+
+def test_indicators_rebuild_a_lost_timelines_entry_after_the_release(tmp_path, capsys):
+    """``moves`` caches timelines, moves and states but no stocks. When the
+    timelines entry is then corrupt, ``indicators`` takes the states from the
+    cache, the engine releases the corpus, and the stocks stage must rebuild
+    the timelines: it parses again, and every table equals a ``--no-cache``
+    run's."""
+    corpus, cache = _corpus_file(tmp_path), tmp_path / "cache"
+    assert run(["moves", str(corpus), "-o", str(tmp_path / "moves"), "--cache-dir", str(cache)]) == 0
+    header = ",".join(pipeline.TIMELINE_HEADER).encode()
+    (entry,) = [p for p in cache.glob("*.csv") if p.read_bytes().startswith(header)]
+    entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+    warm, cold = tmp_path / "warm", tmp_path / "cold"
+    assert run(["indicators", str(corpus), "-o", str(warm), "--cache-dir", str(cache)]) == 0
+    assert f"discarding corrupt cache entry {entry.name}" in capsys.readouterr().err
+    assert run(["indicators", str(corpus), "-o", str(cold), "--no-cache"]) == 0
+    tables = sorted(p.name for p in cold.glob("*.csv"))
+    assert tables == sorted(p.name for p in warm.glob("*.csv")) and "stocks.csv" in tables
+    for name in tables:
+        assert (warm / name).read_bytes() == (cold / name).read_bytes(), name
+    stages = json.loads((warm / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert [(s["stage"], s["cache"]) for s in stages] == [
+        ("parse", "off"), ("states", "hit"), ("indicators", "off"),
+        ("parse", "off"), ("timelines", "miss"), ("stocks", "miss"),
+    ]
