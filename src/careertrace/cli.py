@@ -15,12 +15,12 @@ Exit codes: 0 success, 1 data or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import datetime as _dt
 import gc
 import json
 import math
 import re
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable
@@ -85,7 +85,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def utc_now() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def write_manifest(
@@ -208,10 +208,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_timelines(args: argparse.Namespace) -> int:
     pipe = _make_pipeline(args)
-    rows = timelines_to_rows(pipe.timelines(), pipe.scheme)
+    timelines = pipe.timelines()
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_table(out, TIMELINE_HEADER, rows)
+    write_table(out, TIMELINE_HEADER, timelines_to_rows(timelines, pipe.scheme))
     write_manifest(out.with_name(out.name + ".manifest.json"), "timelines",
                    pipe.cfg.as_dict(), pipe.inputs(), pipe.stages)
     return 0
@@ -226,10 +226,10 @@ def cmd_moves(args: argparse.Namespace) -> int:
     write_table(out_dir / "states.csv", STATE_HEADER, states_to_rows(states))
     # classes follow move patterns only; the origin table lets consumers
     # break any population down by where a career started
-    origin_rows = [
+    origin_rows = (
         [a, timelines[a].origin_region, "1" if timelines[a].origin_ambiguous else "0"]
         for a in sorted(timelines)
-    ]
+    )
     write_table(out_dir / "origins.csv", ["author_id", "origin", "origin_ambiguous"], origin_rows)
     write_manifest(out_dir / "manifest.json", "moves",
                    pipe.cfg.as_dict(), pipe.inputs(), pipe.stages)
@@ -255,7 +255,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
     want = set(cfg.metrics)
     # every stage runs before the output directory is made; a table's rows
     # are built only while it is written
-    build: dict[str, Callable[[], list]] = {}
+    build: dict[str, Callable[[], Iterable]] = {}
     if want & {"pp10", "shares", "intl", "class_intl", "direction"}:
         # the engine keeps no record, so the corpus is freed when it returns
         engine = IndicatorEngine(*pipe.engine_inputs(), cfg.home, cfg.intl_requires_distinct_authors)

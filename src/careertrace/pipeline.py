@@ -13,6 +13,7 @@ import sys
 import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import __version__
 from .corpus import Corpus, RegionScheme, load_corpus, load_scheme
@@ -116,7 +117,10 @@ class Cache:
     def key(stage: str, parts: list[str]) -> str:
         return hashlib.sha256("|".join([stage] + parts).encode()).hexdigest()[:40]
 
-    def load(self, key: str) -> list[list[str]] | None:
+    def load(self, key: str) -> Iterator[list[str]] | None:
+        """The entry's rows after its header, decoded lazily from the bytes whose
+        digest was checked, or None when there is no sound entry. A row that
+        turns out not to decode is the caller's to ``discard``."""
         data_path, digest_path = self._paths(key)
         if not data_path.exists() or not digest_path.exists():
             return None
@@ -127,21 +131,26 @@ class Cache:
                 raise ValueError("digest mismatch")
             # decode the bytes just verified: reading the file again could see
             # another run's store half done
-            table = list(csv.reader(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", newline="")))
-            if not table or not table[0]:
+            rows = csv.reader(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", newline=""))
+            if not next(rows, None):
                 raise ValueError("empty cache table")
-            return table[1:]
+            return rows
         except Exception as exc:  # noqa: BLE001 - any corruption means rebuild
-            print(f"careertrace: warning: discarding corrupt cache entry {data_path.name}: {exc}",
-                  file=sys.stderr)
-            for p in self._paths(key):
-                try:
-                    p.unlink()
-                except OSError:
-                    pass
+            self.discard(key, exc)
             return None
 
-    def store(self, key: str, header: list[str], rows: list[list[str]]) -> None:
+    def discard(self, key: str, reason: Exception) -> None:
+        """Warn about a corrupt entry and delete it, so that it is rebuilt."""
+        data_path = self._paths(key)[0]
+        print(f"careertrace: warning: discarding corrupt cache entry {data_path.name}: {reason}",
+              file=sys.stderr)
+        for p in self._paths(key):
+            try:
+                p.unlink()
+            except OSError:
+                pass
+
+    def store(self, key: str, header: list[str], rows: Iterable[list[object]]) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         data_path, digest_path = self._paths(key)
         write_table(data_path, header, rows)
@@ -167,13 +176,20 @@ def _parse_weights(text: str) -> dict[str, float]:
     return out
 
 
+class _Years(dict):
+    """Years decoded by their text, so that equal years share one int."""
+
+    def __missing__(self, text: str) -> int:
+        year = self[text] = int(text)
+        return year
+
+
 def timelines_to_rows(
     timelines: dict[str, CareerTimeline], scheme: RegionScheme
-) -> list[list[str]]:
+) -> Iterator[list[str]]:
     # positions share weights dicts (one per country tuple), and the timelines
-    # keep each alive for the whole call, so each is formatted once by identity
+    # keep each alive while the rows stream, so each is formatted once by identity
     texts: dict[int, str] = {}
-    rows = []
     for author_id in sorted(timelines):
         tl = timelines[author_id]
         ambiguous = "1" if tl.origin_ambiguous else "0"
@@ -181,21 +197,21 @@ def timelines_to_rows(
             text = texts.get(id(pos.weights))
             if text is None:
                 text = texts[id(pos.weights)] = _format_weights(pos.weights, scheme)
-            rows.append([author_id, str(pos.year), pos.source_pub, pos.dominant, text, ambiguous])
-    return rows
+            yield [author_id, str(pos.year), pos.source_pub, pos.dominant, text, ambiguous]
 
 
-def rows_to_timelines(rows: list[list[str]]) -> dict[str, CareerTimeline]:
+def rows_to_timelines(rows: Iterable[list[str]]) -> dict[str, CareerTimeline]:
     """Timelines decoded from rows in ``timelines_to_rows`` order (by author,
     then year). Positions with the same weights text share one dict, which
-    must not be mutated (as with ``regionalize``)."""
+    must not be mutated (as with ``regionalize``), and equal years one int."""
     weights_of: dict[str, dict[str, float]] = {}
+    years = _Years()
     out: dict[str, CareerTimeline] = {}
     for author_id, year, source_pub, dominant, text, _ambiguous in rows:
         weights = weights_of.get(text)
         if weights is None:
             weights = weights_of[text] = _parse_weights(text)
-        pos = YearPosition(year=int(year), weights=weights, source_pub=source_pub,
+        pos = YearPosition(year=years[year], weights=weights, source_pub=source_pub,
                            dominant=dominant)
         tl = out.get(author_id)
         if tl is None:
@@ -205,44 +221,44 @@ def rows_to_timelines(rows: list[list[str]]) -> dict[str, CareerTimeline]:
     return out
 
 
-def moves_to_rows(moves: dict[str, list[MoveEvent]]) -> list[list[str]]:
-    return [
-        [author_id, mv.from_region, mv.to_region, str(mv.year)]
-        for author_id in sorted(moves)
-        for mv in moves[author_id]
-    ]
+def moves_to_rows(moves: dict[str, list[MoveEvent]]) -> Iterator[list[str]]:
+    for author_id in sorted(moves):
+        for mv in moves[author_id]:
+            yield [author_id, mv.from_region, mv.to_region, str(mv.year)]
 
 
-def rows_to_moves(rows: list[list[str]]) -> dict[str, list[MoveEvent]]:
+def rows_to_moves(rows: Iterable[list[str]]) -> dict[str, list[MoveEvent]]:
     out: dict[str, list[MoveEvent]] = {}
     for author_id, frm, to, year in rows:
         out.setdefault(author_id, []).append(MoveEvent(from_region=frm, to_region=to, year=int(year)))
     return out
 
 
-def states_to_rows(states: dict[str, list[MobilityState]]) -> list[list[str]]:
-    return [
-        [author_id, str(st.year), st.klass, str(st.since_year)]
-        for author_id in sorted(states)
-        for st in states[author_id]
-    ]
+def states_to_rows(states: dict[str, list[MobilityState]]) -> Iterator[list[str]]:
+    for author_id in sorted(states):
+        for st in states[author_id]:
+            yield [author_id, str(st.year), st.klass, str(st.since_year)]
 
 
-def rows_to_states(rows: list[list[str]]) -> dict[str, list[MobilityState]]:
+def rows_to_states(rows: Iterable[list[str]]) -> dict[str, list[MobilityState]]:
     """States decoded from rows in ``states_to_rows`` order (by author, then
-    year); each distinct class key is one shared string, as ``classify`` gives."""
+    year); each distinct class key is one shared string, as ``classify`` gives,
+    and each distinct year one int."""
     classes: dict[str, str] = {}
+    years = _Years()
     out: dict[str, list[MobilityState]] = {}
     for author_id, year, key, since_year in rows:
         out.setdefault(author_id, []).append(
-            MobilityState(year=int(year), klass=classes.setdefault(key, key), since_year=int(since_year))
+            MobilityState(year=years[year], klass=classes.setdefault(key, key),
+                          since_year=years[since_year])
         )
     return out
 
 
-def stocks_to_rows(cells: list[StockCell]) -> list[list[object]]:
+def stocks_to_rows(cells: list[StockCell]) -> Iterator[list[object]]:
     """Rows under ``STOCK_HEADER``; the cache keeps the first four columns."""
-    return [[c.class_key, c.year, c.preceding, c.new_movement, c.total] for c in cells]
+    for c in cells:
+        yield [c.class_key, c.year, c.preceding, c.new_movement, c.total]
 
 
 class Pipeline:
@@ -294,9 +310,13 @@ class Pipeline:
         key = Cache.key(stage, [__version__, self.corpus_hash, self.scheme_hash,
                                 json.dumps(self.cfg.as_dict(), sort_keys=True)])
         rows = self.cache.load(key) if self.cache is not None else None
+        outcome = None
         if rows is not None:
-            value, outcome = from_rows(rows), "hit"
-        else:
+            try:
+                value, outcome = from_rows(rows), "hit"
+            except (ValueError, csv.Error) as exc:  # bytes or rows that do not decode
+                self.cache.discard(key, exc)
+        if outcome is None:
             value = build()
             if self.cache is not None:
                 self.cache.store(key, header, to_rows(value))
@@ -352,8 +372,8 @@ class Pipeline:
     def stock_cells(self) -> list[StockCell]:
         return self._cached(
             "stocks", STOCK_HEADER[:4], self._build_stock_cells,
-            lambda cells: [row[:4] for row in stocks_to_rows(cells)],
-            lambda rows: [StockCell(r[0], int(r[1]), int(r[2]), int(r[3])) for r in rows],
+            lambda cells: (row[:4] for row in stocks_to_rows(cells)),
+            lambda rows: [StockCell(k, int(y), int(p), int(n)) for k, y, p, n in rows],
         )
 
     def inputs(self) -> dict[str, str]:

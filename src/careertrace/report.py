@@ -19,11 +19,18 @@ PALETTE = [
 
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     """One CSV table; the csv module writes floats as their shortest round-trip
-    ``repr`` (so infinities as ``inf``/``-inf``) and other values with ``str``."""
+    ``repr`` (so infinities as ``inf``/``-inf``) and other values with ``str``.
+    Rows are written as they are made; if making one raises, the table is
+    removed rather than left cut short."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        try:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        except BaseException:
+            fh.close()
+            Path(path).unlink(missing_ok=True)
+            raise
 
 
 def read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:

@@ -38,10 +38,13 @@ def build_statuses(
     """
     statuses: dict[tuple[str, int], str] = {}
     y0, y1 = year_range
+    # every key takes its year from this one list, where a fresh range would
+    # make an int object per author-year
+    years = list(range(y0, y1 + 1))
     for author_id, tl in timelines.items():
         active = {p.year for p in tl.positions}
         countable_until = tl.last_year + grace
-        for year in range(max(y0, tl.first_year), y1 + 1):
+        for year in years[max(0, tl.first_year - y0):]:
             if year in active:
                 statuses[(author_id, year)] = ACTIVE
             elif year <= countable_until:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +160,20 @@ def test_cli_import_leaves_synth_unloaded():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_commands_leave_datetime_unloaded(small_corpus, tmp_path):
+    """The manifest timestamp comes from ``time``; no command imports ``datetime``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = ("import sys, careertrace.cli as c; "
+            f"assert c.run(['moves', {str(small_corpus)!r}, '-o', {str(tmp_path / 'm')!r}, "
+            "'--no-cache']) == 0; print('datetime' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    manifest = json.loads((tmp_path / "m" / "manifest.json").read_text(encoding="utf-8"))
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", manifest["timestamp"])
 
 
 @pytest.mark.parametrize("flag", [["--no-cache"], ["--cache-dir", "c"]])
@@ -659,7 +674,39 @@ def test_cache_load_decodes_the_bytes_it_verified(tmp_path, monkeypatch):
         return digest
 
     monkeypatch.setattr(hashlib, "sha256", sha256_then_truncated)
-    assert cache.load(key) == rows
+    assert list(cache.load(key)) == rows
+
+
+@pytest.mark.parametrize("damage", [
+    b"x\xff,2001,p1,CHN,CHN:1.0,0\n",  # not UTF-8
+    b"x1\n",  # one column of six
+    b"x1,notayear,p1,CHN,CHN:1.0,0\n",
+])
+def test_cache_entry_that_does_not_decode_is_rebuilt(tmp_path, capsys, damage):
+    """An entry whose digest matches but whose rows do not decode is discarded
+    with one warning and rebuilt, as one whose digest does not match is. The
+    damage lies past the first chunk decoded, so it surfaces as rows stream."""
+    corpus, cache = tmp_path / "in.jsonl", tmp_path / "cache"
+    write_corpus(corpus, random_records(random.Random(1), 300))
+    assert run(["timelines", str(corpus), "-o", str(tmp_path / "cold.csv"),
+                "--cache-dir", str(cache)]) == 0
+    (entry,) = cache.glob("*.csv")
+    blob = entry.read_bytes()
+    assert len(blob) > 8192
+    entry.write_bytes(blob + damage)
+    entry.with_name(entry.name + ".sha256").write_text(
+        hashlib.sha256(blob + damage).hexdigest() + "\n", encoding="utf-8")
+    capsys.readouterr()
+    warm, off = tmp_path / "warm.csv", tmp_path / "off.csv"
+    assert run(["timelines", str(corpus), "-o", str(warm), "--cache-dir", str(cache)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"discarding corrupt cache entry {entry.name}" in err[0], err
+    assert run(["timelines", str(corpus), "-o", str(off), "--no-cache"]) == 0
+    assert warm.read_bytes() == off.read_bytes()
+    manifest = json.loads((tmp_path / "warm.csv.manifest.json").read_text(encoding="utf-8"))
+    assert [(s["stage"], s["cache"]) for s in manifest["stages"]] == [
+        ("parse", "off"), ("timelines", "miss")]
+    assert entry.read_bytes() == blob
 
 
 @settings(max_examples=10, deadline=None)

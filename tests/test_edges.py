@@ -183,3 +183,18 @@ def test_write_table_golden_bytes(tmp_path):
         b'text,count,sum,tiny,up,down\n'
         b'"x, ""y""\nz",7,0.30000000000000004,1e-300,inf,-inf\n'
     )
+
+
+def test_write_table_removes_a_table_whose_rows_raise(tmp_path):
+    """Rows are written as they are made, so one that fails to be made must
+    not leave the rows before it behind as a table."""
+    path = tmp_path / "t.csv"
+    path.write_text("an older table\n", encoding="utf-8")
+
+    def rows():
+        yield ["a", 1]
+        raise KeyError("unknown region")
+
+    with pytest.raises(KeyError):
+        write_table(path, ["text", "count"], rows())
+    assert not path.exists()

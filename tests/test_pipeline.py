@@ -6,6 +6,7 @@ pipeline releases the parsed corpus after its last reader."""
 import copy
 import json
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -16,8 +17,10 @@ from careertrace import cli, pipeline
 from careertrace.cli import run
 from careertrace.corpus import default_scheme, default_scheme_path, parse_corpus
 from careertrace.indicators import IndicatorEngine
-from careertrace.mobility import HOST_ATTRIBUTIONS, classify, detect_moves
+from careertrace.mobility import HOST_ATTRIBUTIONS, MobilityState, classify, detect_moves
 from careertrace.pipeline import (
+    STATE_HEADER,
+    Cache,
     Pipeline,
     RunConfig,
     moves_to_rows,
@@ -27,6 +30,7 @@ from careertrace.pipeline import (
     states_to_rows,
     timelines_to_rows,
 )
+from careertrace.report import write_table
 from careertrace.stocks import build_statuses, stock_table
 from careertrace.timeline import TIE_RULES, build_timelines
 
@@ -49,31 +53,33 @@ def test_stage_codecs_round_trip(seed, home, tie_rule, host_attribution):
     states = {a: classify(tl, moves[a], home, scheme, host_attribution)
               for a, tl in timelines.items()}
 
-    rows = timelines_to_rows(timelines, scheme)
+    rows = list(timelines_to_rows(timelines, scheme))
     decoded = rows_to_timelines(rows)
     assert decoded == timelines
-    assert timelines_to_rows(decoded, scheme) == rows
-    weights_of = {}
+    assert list(timelines_to_rows(decoded, scheme)) == rows
+    weights_of, years = {}, {}
     positions = [pos for a in sorted(decoded) for pos in decoded[a].positions]
     assert len(positions) == len(rows)
     for pos, row in zip(positions, rows):
         assert weights_of.setdefault(row[4], pos.weights) is pos.weights
+        assert years.setdefault(pos.year, pos.year) is pos.year
 
-    rows = moves_to_rows(moves)
+    rows = list(moves_to_rows(moves))
     assert rows_to_moves(rows) == {a: mvs for a, mvs in moves.items() if mvs}
-    assert moves_to_rows(rows_to_moves(rows)) == rows
+    assert list(moves_to_rows(rows_to_moves(rows))) == rows
 
-    rows = states_to_rows(states)
+    rows = list(states_to_rows(states))
     decoded_states = rows_to_states(rows)
     assert decoded_states == states
-    assert states_to_rows(decoded_states) == rows
+    assert list(states_to_rows(decoded_states)) == rows
     # fresh key strings, as the cache's CSV reader gives them
     fresh = rows_to_states([[cell.encode().decode() for cell in row] for row in rows])
     assert fresh == states
     shared = {}
     for sts in fresh.values():
         for s in sts:
-            assert shared.setdefault(s.klass, s.klass) is s.klass
+            for value in (s.klass, s.year, s.since_year):
+                assert shared.setdefault(value, value) is value
 
 
 def _positions(timelines):
@@ -200,3 +206,45 @@ def test_indicators_rebuild_a_lost_timelines_entry_after_the_release(tmp_path, c
         ("parse", "off"), ("states", "hit"), ("indicators", "off"),
         ("parse", "off"), ("timelines", "miss"), ("stocks", "miss"),
     ]
+
+
+def _traced(fn) -> tuple[int, int]:
+    """Bytes ``fn`` allocated and freed again (tracemalloc's peak above what is
+    still allocated when it returns), and bytes still held by its result."""
+    tracemalloc.start()
+    try:
+        kept = fn()  # noqa: F841 - held while the figures are read
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current, current
+
+
+def test_state_rows_stream_through_the_table_and_the_cache(tmp_path):
+    """30k state rows are written, stored and decoded a row at a time: neither
+    writing the table nor a cache hit holds a list of the rows. Here such a
+    list costs about 6 MB; writing peaks near 0.25 MB, and a hit near the
+    entry's 1.1 MB of bytes."""
+    classes = ["Domestic(CHN)", "Overseas(CHN,USA)", "ReturneeResident(CHN,USA)"]
+    states = {
+        f"a{i:05d}": [MobilityState(year=1990 + i % 20 + j, klass=klass, since_year=1990 + i % 20 + j)
+                      for j, klass in enumerate(classes)]
+        for i in range(10_000)
+    }
+    _, rows_bytes = _traced(lambda: list(states_to_rows(states)))
+    write_peak, _ = _traced(
+        lambda: write_table(tmp_path / "states.csv", STATE_HEADER, states_to_rows(states)))
+    assert write_peak < rows_bytes / 8, (write_peak, rows_bytes)
+
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("", encoding="utf-8")
+    pipes = [Pipeline(corpus, default_scheme_path(), RunConfig(), Cache(tmp_path / "cache"))
+             for _ in range(2)]
+    for pipe in pipes:
+        pipe._build_states = lambda: states
+    pipes[0].states()
+    (entry,) = (tmp_path / "cache").glob("*.csv")
+    hit_peak, _ = _traced(pipes[1].states)
+    assert pipes[1].stages == [{"stage": "states", "cache": "hit"}]
+    assert pipes[1].states() == states
+    assert hit_peak < entry.stat().st_size + rows_bytes / 8, (hit_peak, rows_bytes)

@@ -133,6 +133,8 @@ def test_statuses_and_stocks_match_oracle(seed, n, grace, extra_years):
     }
     assert statuses == expected
     assert all(year >= timelines[a].first_year for a, year in statuses)
+    shared = {}  # authors share each year's int, not one per cell
+    assert all(shared.setdefault(year, year) is year for _, year in statuses)
 
     states = {a: classify(tl, detect_moves(tl), "CHN", scheme) for a, tl in timelines.items()}
     bf_classes = {
