@@ -17,17 +17,14 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
-import re
 import sys
-import time
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable
 
 from . import __version__
 from .corpus import default_scheme_path, iter_diagnostics, load_scheme, open_corpus
-from .errors import CareerTraceError, InvalidConfig, MalformedTable
+from .errors import CareerTraceError, InvalidConfig
 from .mobility import HOST_ATTRIBUTIONS
 from .pipeline import (
     ALL_METRICS,
@@ -46,14 +43,10 @@ from .pipeline import (
     states_to_rows,
     stocks_to_rows,
     timelines_to_rows,
-)
-from .report import (
-    line_chart,
-    read_table,
-    render_text_table,
-    stacked_bar_chart,
+    write_manifest,
     write_table,
 )
+from .report import write_report  # loaded eagerly: the benchmark's tracer wraps its charts
 from .timeline import TIE_RULES
 
 
@@ -84,39 +77,18 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-def write_manifest(
-    path: Path,
-    subcommand: str,
-    config: dict,
-    inputs: dict[str, str],
-    stages: list[dict],
-) -> None:
-    obj = {
-        "tool": "careertrace",
-        "version": __version__,
-        "subcommand": subcommand,
-        "inputs": inputs,
-        "config": config,
-        "stages": stages,
-        "timestamp": utc_now(),
-    }
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _add_common(parser: argparse.ArgumentParser, output: str | None = None) -> None:
     parser.add_argument("corpus", help="line-delimited corpus file")
     parser.add_argument("--scheme", default=None, help="region scheme JSON file")
     parser.add_argument("--config", default=None, help="run configuration file (key = value)")
     parser.add_argument("--year-min", type=int, default=None, dest="year_min")
     parser.add_argument("--year-max", type=int, default=None, dest="year_max")
-    if output:  # commands that write tables build cacheable stages; validate does neither
+    if output:  # commands that write tables build timelines and cache stages; validate does neither
         parser.add_argument("-o", "--output", required=True, help=output)
         parser.add_argument("--no-cache", action="store_true", help="bypass the table cache")
         parser.add_argument("--cache-dir", default=None, help="cache directory")
+        parser.add_argument("--tie-rule", choices=TIE_RULES, default=None,
+                            dest="tie_rule", help="dominant-region tie handling")
 
 
 def _add_home_opts(parser: argparse.ArgumentParser) -> None:
@@ -127,8 +99,6 @@ def _add_home_opts(parser: argparse.ArgumentParser) -> None:
                         help="trailing grace years before retirement")
     parser.add_argument("--host-attribution", choices=HOST_ATTRIBUTIONS, default=None,
                         dest="host_attribution")
-    parser.add_argument("--tie-rule", choices=TIE_RULES, default=None,
-                        dest="tie_rule", help="dominant-region tie handling")
     parser.add_argument("--intl-requires-distinct-authors", action="store_true", default=None,
                         dest="intl_requires_distinct_authors")
 
@@ -146,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timelines", help="write the author-year position table")
     _add_common(p, output="output CSV file")
-    p.add_argument("--tie-rule", choices=TIE_RULES, default=None,
-                   dest="tie_rule", help="dominant-region tie handling")
 
     p = sub.add_parser("moves", help="write move and mobility-state tables")
     _add_common(p, output="output directory")
@@ -326,108 +294,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-# column types of the tables report reads: indicator tables, then stocks.csv
-_INDICATOR_TYPES = (str, int, str, str, float)
-_STOCK_TYPES = (str, int, float, float, float)
-# what a chart's file name may be made of, so that no chart leaves the report directory
-_PLAIN_NAME = re.compile(r"[A-Za-z0-9_-]+")
-
-
-def _class_stem(class_key: str) -> str:
-    """``Overseas(CHN,USA)`` -> ``Overseas_CHN_USA``, the class's chart file stem."""
-    return class_key.replace("(", "_").replace(")", "").replace(",", "_")
-
-
-def _read_report_table(
-    path: Path, types: tuple, names: Callable[[list[str]], Iterable[str]]
-) -> tuple[list[str], list[list[str]], list[list]]:
-    """Header, text rows and the rows converted by ``types``; a table report
-    cannot read, or a row whose ``names`` (the parts of its chart's file name)
-    are not plain, is one error naming its file and line."""
-    try:
-        header, rows = read_table(path)
-    except UnicodeDecodeError:
-        raise MalformedTable(f"{path}: not valid UTF-8") from None
-    values = []
-    for line_no, row in enumerate(rows, start=2):
-        if len(row) != len(types):
-            raise MalformedTable(f"{path}: line {line_no}: {len(row)} columns, expected {len(types)}")
-        try:
-            values.append([kind(text) for kind, text in zip(types, row)])
-        except ValueError as exc:
-            raise MalformedTable(f"{path}: line {line_no}: {exc}") from None
-        for name in names(row):
-            if not _PLAIN_NAME.fullmatch(name):
-                raise MalformedTable(f"{path}: line {line_no}: {name!r} does not make a plain "
-                                     "file name (letters, digits, '_' and '-')")
-    return header, rows, values
-
-
-def _chart_indicator_table(values: list[list], out_dir: Path) -> list[str]:
-    """Line charts per (metric, counting) found in one indicator table."""
-    written = []
-    groups: dict[tuple[str, str], dict[str, list[tuple[float, float]]]] = {}
-    for population, year, metric, counting, value in values:
-        if math.isinf(value):
-            continue
-        groups.setdefault((metric, counting), {}).setdefault(population, []).append((year, value))
-    for (metric, counting), series in sorted(groups.items()):
-        name = f"{metric}_{counting}.svg"
-        line_chart(out_dir / name, f"{metric} ({counting})", series)
-        written.append(name)
-    return written
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     src = Path(args.directory)
-    if not src.is_dir():
-        print(f"careertrace: error: {src} is not a directory", file=sys.stderr)
-        return 1
-    out_dir = Path(args.output) if args.output else src / "report"
-    # every table is read and checked before the first file is written
-    tables = [
-        (name, _read_report_table(src / f"{name}.csv", _INDICATOR_TYPES, lambda row: row[2:4]))
-        for name in ("pp10", "shares", "intl", "class_intl", "direction", "ratio")
-        if (src / f"{name}.csv").exists()
-    ]
-    stocks_path = src / "stocks.csv"
-    stocks = (_read_report_table(stocks_path, _STOCK_TYPES, lambda row: [_class_stem(row[0])])
-              if stocks_path.exists() else None)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary_parts = []
-    charts: list[str] = []
-    for name, (header, rows, values) in tables:
-        charts.extend(_chart_indicator_table(values, out_dir))
-        summary_parts.append(f"== {name} ==\n" + render_text_table(header, rows))
-    if stocks is not None:
-        header, rows, values = stocks
-        summary_parts.append("== stocks ==\n" + render_text_table(header, rows))
-        by_class: dict[str, dict[int, tuple[float, float]]] = {}
-        for class_key, year, preceding, new, _total in values:
-            by_class.setdefault(class_key, {})[year] = (preceding, new)
-        for class_key in sorted(by_class):
-            if not (class_key.startswith("Overseas(") or class_key.startswith("ReturneeResident(")):
-                continue
-            years = sorted(by_class[class_key])
-            name = f"stocks_{_class_stem(class_key)}.svg"
-            stacked_bar_chart(
-                out_dir / name,
-                f"stock of {class_key}: preceding vs new movement",
-                [str(y) for y in years],
-                {
-                    "preceding": [by_class[class_key][y][0] for y in years],
-                    "new movement": [by_class[class_key][y][1] for y in years],
-                },
-            )
-            charts.append(name)
-    (out_dir / "summary.txt").write_text("\n".join(summary_parts), encoding="utf-8")
-    write_manifest(
-        out_dir / "manifest.json",
-        "report",
-        {"source": str(src)},
-        {},
-        [{"stage": "report", "cache": "off", "charts": len(charts)}],
-    )
+    write_report(src, Path(args.output) if args.output else src / "report")
     return 0
 
 

@@ -1,6 +1,7 @@
 """The staged corpus -> timelines -> moves -> states -> stocks pass behind the
-data commands, its run configuration and table cache, and each table's
-header and row codec, shared by the cache and the command outputs.
+data commands, its run configuration and table cache, the CSV table format
+with each table's header and row codec, shared by the cache and the command
+outputs, and the manifest every command writes beside its outputs.
 """
 
 from __future__ import annotations
@@ -10,16 +11,16 @@ import hashlib
 import io
 import json
 import sys
+import time
 import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .corpus import Corpus, RegionScheme, load_corpus, load_scheme
 from .errors import InvalidConfig
 from .mobility import MobilityState, MoveEvent, classify, detect_moves
-from .report import write_table
 from .stocks import DEFAULT_GRACE_YEARS, StockCell, build_statuses, stock_table
 from .timeline import CareerTimeline, YearPosition, build_timelines
 
@@ -104,6 +105,44 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """One CSV table: UTF-8, LF line endings, a header row and a stable column
+    order. The csv module writes floats as their shortest round-trip ``repr``
+    (so infinities as ``inf``/``-inf``) and other values with ``str``.
+    Rows are written as they are made; if making one raises, the table is
+    removed rather than left cut short."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        try:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        except BaseException:
+            fh.close()
+            Path(path).unlink(missing_ok=True)
+            raise
+
+
+def read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    return (rows[0], rows[1:]) if rows else ([], [])
+
+
+def write_manifest(
+    path: Path, subcommand: str, config: dict, inputs: dict[str, str], stages: list[dict]
+) -> None:
+    obj = {
+        "tool": "careertrace",
+        "version": __version__,
+        "subcommand": subcommand,
+        "inputs": inputs,
+        "config": config,
+        "stages": stages,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 class Cache:
     """Content-addressed table cache; corrupted entries are rebuilt, never trusted."""
 
@@ -168,10 +207,12 @@ def _format_weights(weights: dict[str, float], scheme: RegionScheme) -> str:
     return "|".join(f"{r}:{weights[r]!r}" for r in sorted(weights, key=scheme.rank))
 
 
-def _parse_weights(text: str) -> dict[str, float]:
+def _parse_weights(text: str, labels: frozenset[str]) -> dict[str, float]:
     out = {}
     for part in text.split("|"):
         region, _, value = part.partition(":")
+        if region not in labels:
+            raise ValueError(f"region {region!r} is not in the scheme")
         out[region] = float(value)
     return out
 
@@ -200,17 +241,24 @@ def timelines_to_rows(
             yield [author_id, str(pos.year), pos.source_pub, pos.dominant, text, ambiguous]
 
 
-def rows_to_timelines(rows: Iterable[list[str]]) -> dict[str, CareerTimeline]:
+def rows_to_timelines(
+    rows: Iterable[list[str]], scheme: RegionScheme
+) -> dict[str, CareerTimeline]:
     """Timelines decoded from rows in ``timelines_to_rows`` order (by author,
     then year). Positions with the same weights text share one dict, which
-    must not be mutated (as with ``regionalize``), and equal years one int."""
+    must not be mutated (as with ``regionalize``), and equal years one int.
+    A region that ``scheme`` does not list is a ValueError, so that a cache
+    entry naming one is rebuilt rather than failing a later stage."""
+    labels = frozenset(scheme.labels)
     weights_of: dict[str, dict[str, float]] = {}
     years = _Years()
     out: dict[str, CareerTimeline] = {}
     for author_id, year, source_pub, dominant, text, _ambiguous in rows:
         weights = weights_of.get(text)
         if weights is None:
-            weights = weights_of[text] = _parse_weights(text)
+            weights = weights_of[text] = _parse_weights(text, labels)
+        if dominant not in labels:
+            raise ValueError(f"region {dominant!r} is not in the scheme")
         pos = YearPosition(year=years[year], weights=weights, source_pub=source_pub,
                            dominant=dominant)
         tl = out.get(author_id)
@@ -332,7 +380,7 @@ class Pipeline:
             "timelines", TIMELINE_HEADER,
             lambda: build_timelines(self.corpus(), self.cfg.tie_rule),
             lambda timelines: timelines_to_rows(timelines, self.scheme),
-            rows_to_timelines,
+            lambda rows: rows_to_timelines(rows, self.scheme),
         )
 
     def moves(self) -> dict[str, list[MoveEvent]]:
@@ -360,12 +408,13 @@ class Pipeline:
         # stage needs no parse: every record gives each of its authors a position
         first_year = min((tl.first_year for tl in timelines.values()), default=0)
         last_year = max((tl.last_year for tl in timelines.values()), default=0)
-        start_year, end_year = self.cfg.window or (first_year, last_year)
+        end_year = self.cfg.window[1] if self.cfg.window else last_year
         if self.cfg.end_year is not None:
             end_year = self.cfg.end_year
-        # every author is retired after the last countable year, so a later
-        # end year adds only empty years to the grid
-        year_range = (start_year, min(end_year, last_year + self.cfg.grace_years))
+        # no career starts before the first publication, which no window start
+        # follows (the window rejects earlier records), and every author is
+        # retired after the last countable year: other years add only empty rows
+        year_range = (first_year, min(end_year, last_year + self.cfg.grace_years))
         statuses = build_statuses(timelines, year_range, grace=self.cfg.grace_years)
         return stock_table(self.states(), statuses, year_range)
 

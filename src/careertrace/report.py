@@ -1,45 +1,24 @@
-"""Columnar table output and static vector charts.
+"""The report command: a text summary and static SVG charts drawn from the
+tables of an ``indicators`` output directory.
 
-Tables are comma-separated with a header row, UTF-8, LF line endings and a
-stable column order. Charts are self-contained SVG files written directly
-(no plotting dependency) so that identical inputs give identical bytes.
+Charts are self-contained SVG files written directly (no plotting
+dependency) so that identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
-import csv
+import math
+import re
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+from .errors import MalformedTable
+from .pipeline import read_table, write_manifest
 
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 ]
-
-
-def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """One CSV table; the csv module writes floats as their shortest round-trip
-    ``repr`` (so infinities as ``inf``/``-inf``) and other values with ``str``.
-    Rows are written as they are made; if making one raises, the table is
-    removed rather than left cut short."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        try:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        except BaseException:
-            fh.close()
-            Path(path).unlink(missing_ok=True)
-            raise
-
-
-def read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        return [], []
-    return rows[0], rows[1:]
 
 
 def _fmt(x: float) -> str:
@@ -206,3 +185,100 @@ def render_text_table(header: Sequence[str], rows: list[Sequence[str]]) -> str:
     lines = [fmt_row(header), fmt_row(["-" * w for w in widths])]
     lines.extend(fmt_row(r) for r in rows)
     return "\n".join(lines) + "\n"
+
+
+# column types of the tables report reads: indicator tables, then stocks.csv
+_INDICATOR_TYPES = (str, int, str, str, float)
+_STOCK_TYPES = (str, int, float, float, float)
+# what a chart's file name may be made of, so that no chart leaves the report directory
+_PLAIN_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def _class_stem(class_key: str) -> str:
+    """``Overseas(CHN,USA)`` -> ``Overseas_CHN_USA``, the class's chart file stem."""
+    return class_key.replace("(", "_").replace(")", "").replace(",", "_")
+
+
+def _read_report_table(
+    path: Path, types: tuple, names: Callable[[list[str]], Iterable[str]]
+) -> tuple[list[str], list[list[str]], list[list]]:
+    """Header, text rows and the rows converted by ``types``; a table report
+    cannot read, or a row whose ``names`` (the parts of its chart's file name)
+    are not plain, is one error naming its file and line."""
+    try:
+        header, rows = read_table(path)
+    except UnicodeDecodeError:
+        raise MalformedTable(f"{path}: not valid UTF-8") from None
+    values = []
+    for line_no, row in enumerate(rows, start=2):
+        if len(row) != len(types):
+            raise MalformedTable(f"{path}: line {line_no}: {len(row)} columns, expected {len(types)}")
+        try:
+            values.append([kind(text) for kind, text in zip(types, row)])
+        except ValueError as exc:
+            raise MalformedTable(f"{path}: line {line_no}: {exc}") from None
+        for name in names(row):
+            if not _PLAIN_NAME.fullmatch(name):
+                raise MalformedTable(f"{path}: line {line_no}: {name!r} does not make a plain "
+                                     "file name (letters, digits, '_' and '-')")
+    return header, rows, values
+
+
+def _chart_indicator_table(values: list[list], out_dir: Path) -> list[str]:
+    """Line charts per (metric, counting) found in one indicator table."""
+    written = []
+    groups: dict[tuple[str, str], dict[str, list[tuple[float, float]]]] = {}
+    for population, year, metric, counting, value in values:
+        if math.isinf(value):
+            continue
+        groups.setdefault((metric, counting), {}).setdefault(population, []).append((year, value))
+    for (metric, counting), series in sorted(groups.items()):
+        name = f"{metric}_{counting}.svg"
+        line_chart(out_dir / name, f"{metric} ({counting})", series)
+        written.append(name)
+    return written
+
+
+def write_report(src: Path, out_dir: Path) -> None:
+    """``summary.txt``, the charts and a manifest in ``out_dir``, from the
+    tables found in the indicators directory ``src``."""
+    if not src.is_dir():
+        raise NotADirectoryError(f"{src} is not a directory")
+    # every table is read and checked before the first file is written
+    tables = [
+        (name, _read_report_table(src / f"{name}.csv", _INDICATOR_TYPES, lambda row: row[2:4]))
+        for name in ("pp10", "shares", "intl", "class_intl", "direction", "ratio")
+        if (src / f"{name}.csv").exists()
+    ]
+    stocks_path = src / "stocks.csv"
+    stocks = (_read_report_table(stocks_path, _STOCK_TYPES, lambda row: [_class_stem(row[0])])
+              if stocks_path.exists() else None)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary_parts = []
+    charts: list[str] = []
+    for name, (header, rows, values) in tables:
+        charts.extend(_chart_indicator_table(values, out_dir))
+        summary_parts.append(f"== {name} ==\n" + render_text_table(header, rows))
+    if stocks is not None:
+        header, rows, values = stocks
+        summary_parts.append("== stocks ==\n" + render_text_table(header, rows))
+        by_class: dict[str, dict[int, tuple[float, float]]] = {}
+        for class_key, year, preceding, new, _total in values:
+            if class_key.startswith(("Overseas(", "ReturneeResident(")):
+                by_class.setdefault(class_key, {})[year] = (preceding, new)
+        for class_key in sorted(by_class):
+            years = sorted(by_class[class_key])
+            name = f"stocks_{_class_stem(class_key)}.svg"
+            stacked_bar_chart(
+                out_dir / name,
+                f"stock of {class_key}: preceding vs new movement",
+                [str(y) for y in years],
+                {
+                    "preceding": [by_class[class_key][y][0] for y in years],
+                    "new movement": [by_class[class_key][y][1] for y in years],
+                },
+            )
+            charts.append(name)
+    (out_dir / "summary.txt").write_text("\n".join(summary_parts), encoding="utf-8")
+    write_manifest(out_dir / "manifest.json", "report", {"source": str(src)}, {},
+                   [{"stage": "report", "cache": "off", "charts": len(charts)}])

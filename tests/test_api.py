@@ -1,13 +1,17 @@
-"""The package's top-level names are exactly the README's documented API, and the
-benchmark tracer's entry points and counters resolve against the package."""
+"""The package's top-level names are exactly the README's documented API, the
+pipeline loads without the report module, and the benchmark tracer's entry
+points and counters resolve against the package."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import careertrace
 from careertrace.cli import run
-from careertrace.report import read_table
+from careertrace.pipeline import read_table
 
 from conftest import lines, rec
 
@@ -45,6 +49,15 @@ def test_readme_python_api_block_runs(tmp_path, monkeypatch):
     assert run(["moves", "corpus.jsonl", "--home", "CHN", "-o", "moves", "--no-cache"]) == 0
     _header, rows = read_table("moves/states.csv")
     assert klass == next(row[2] for row in rows if row[0] == "a000042")
+
+
+def test_pipeline_loads_without_the_report_module():
+    """The pipeline owns the table format and the manifest, so a fresh
+    interpreter that imports it has not loaded the report's charts."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, careertrace.pipeline; sys.exit('careertrace.report' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def load_tracer_module():

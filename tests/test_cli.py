@@ -18,8 +18,7 @@ from careertrace.cli import run
 from careertrace.corpus import default_scheme, default_scheme_path
 from careertrace.indicators import IndicatorEngine
 from careertrace.mobility import HOST_ATTRIBUTIONS
-from careertrace.pipeline import ALL_METRICS, Cache
-from careertrace.report import read_table
+from careertrace.pipeline import ALL_METRICS, Cache, read_table
 from careertrace.stocks import build_statuses
 from careertrace.timeline import TIE_RULES
 
@@ -244,23 +243,34 @@ def test_stocks_output(small_corpus, tmp_path):
 
 def test_stocks_grid_ends_at_last_countable_year(small_corpus, tmp_path, monkeypatch):
     """An end year past the last publication plus grace builds no grid years
-    beyond it, and writes the table the last countable year writes."""
+    beyond it, and writes the table the last countable year writes; a window
+    starting before the first publication builds none before that."""
     import careertrace.pipeline as pipeline
 
     ranges = []
 
     def recording(timelines, year_range, **kwargs):
         ranges.append(year_range)
+        # a grid from the window start below would hold 10^8 years per author
+        assert year_range[0] == 2005, year_range
         return build_statuses(timelines, year_range, **kwargs)
 
     monkeypatch.setattr(pipeline, "build_statuses", recording)
     far, near = tmp_path / "far.csv", tmp_path / "near.csv"
+    wide, plain = tmp_path / "wide.csv", tmp_path / "plain.csv"
     assert run(["stocks", str(small_corpus), "-o", str(far), "--no-cache",
                 "--end-year", "3000"]) == 0
     assert ranges == [(2005, 2014 + 2)]
     assert run(["stocks", str(small_corpus), "-o", str(near), "--no-cache",
                 "--end-year", "2016"]) == 0
     assert far.read_bytes() == near.read_bytes()
+    # nor does a window starting long before the first publication add any
+    ranges.clear()
+    assert run(["stocks", str(small_corpus), "-o", str(wide), "--no-cache",
+                "--year-min", "-100000000", "--year-max", "2014"]) == 0
+    assert ranges == [(2005, 2014)]
+    assert run(["stocks", str(small_corpus), "-o", str(plain), "--no-cache"]) == 0
+    assert wide.read_bytes() == plain.read_bytes()
 
 
 @pytest.mark.parametrize("grace", [0, 3])
@@ -681,6 +691,8 @@ def test_cache_load_decodes_the_bytes_it_verified(tmp_path, monkeypatch):
     b"x\xff,2001,p1,CHN,CHN:1.0,0\n",  # not UTF-8
     b"x1\n",  # one column of six
     b"x1,notayear,p1,CHN,CHN:1.0,0\n",
+    b"x1,2001,p1,XYZ,XYZ:1.0,0\n",  # a region the scheme does not list
+    b"x1,2001,p1,XYZ,CHN:1.0,0\n",  # a dominant region the scheme does not list
 ])
 def test_cache_entry_that_does_not_decode_is_rebuilt(tmp_path, capsys, damage):
     """An entry whose digest matches but whose rows do not decode is discarded

@@ -29,8 +29,8 @@ from careertrace.pipeline import (
     rows_to_timelines,
     states_to_rows,
     timelines_to_rows,
+    write_table,
 )
-from careertrace.report import write_table
 from careertrace.stocks import build_statuses, stock_table
 from careertrace.timeline import TIE_RULES, build_timelines
 
@@ -54,7 +54,7 @@ def test_stage_codecs_round_trip(seed, home, tie_rule, host_attribution):
               for a, tl in timelines.items()}
 
     rows = list(timelines_to_rows(timelines, scheme))
-    decoded = rows_to_timelines(rows)
+    decoded = rows_to_timelines(rows, scheme)
     assert decoded == timelines
     assert list(timelines_to_rows(decoded, scheme)) == rows
     weights_of, years = {}, {}
@@ -98,7 +98,7 @@ def test_stages_leave_their_inputs_unmutated(seed):
     states = {a: classify(tl, moves[a], "CHN", scheme) for a, tl in timelines.items()}
     inputs = (corpus.records, timelines, moves, states)
     before = copy.deepcopy(inputs)
-    decoded = rows_to_timelines(timelines_to_rows(timelines, scheme))
+    decoded = rows_to_timelines(timelines_to_rows(timelines, scheme), scheme)
     decoded_before = copy.deepcopy(decoded)
     weights_ids = [id(pos.weights) for tls in (timelines, decoded) for pos in _positions(tls)]
 
@@ -107,7 +107,7 @@ def test_stages_leave_their_inputs_unmutated(seed):
             for a, tl in tls.items():
                 classify(tl, moves[a], "USA", scheme, host_attribution)
         stock_table(states, build_statuses(tls, corpus.window), corpus.window)
-        rows_to_timelines(timelines_to_rows(tls, scheme))
+        rows_to_timelines(timelines_to_rows(tls, scheme), scheme)
     engine = IndicatorEngine(corpus, states, "CHN")
     for family in (engine.pp10_rows, engine.share_rows, engine.intl_rows,
                    engine.class_intl_rows, engine.direction_rows):
