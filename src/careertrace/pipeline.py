@@ -19,9 +19,9 @@ from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .corpus import Corpus, RegionScheme, load_corpus, load_scheme
-from .errors import InvalidConfig
+from .errors import HomeMismatch, InvalidConfig
 from .mobility import MobilityState, MoveEvent, classify, detect_moves
-from .stocks import DEFAULT_GRACE_YEARS, StockCell, build_statuses, stock_table
+from .stocks import DEFAULT_GRACE_YEARS, StockCell, stock_table
 from .timeline import CareerTimeline, YearPosition, build_timelines
 
 ALL_METRICS = ("pp10", "shares", "intl", "class_intl", "direction", "stocks", "ratio")
@@ -399,24 +399,16 @@ class Pipeline:
         }
 
     def states(self) -> dict[str, list[MobilityState]]:
+        if self.cfg.home not in self.scheme.labels:  # checked even when the cache holds the states
+            raise HomeMismatch(self.cfg.home)
         return self._cached("states", STATE_HEADER, self._build_states,
                             states_to_rows, rows_to_states)
 
     def _build_stock_cells(self) -> list[StockCell]:
-        timelines = self.timelines()
-        # the corpus window, read off the timelines so that a cached timelines
-        # stage needs no parse: every record gives each of its authors a position
-        first_year = min((tl.first_year for tl in timelines.values()), default=0)
-        last_year = max((tl.last_year for tl in timelines.values()), default=0)
-        end_year = self.cfg.window[1] if self.cfg.window else last_year
-        if self.cfg.end_year is not None:
-            end_year = self.cfg.end_year
-        # no career starts before the first publication, which no window start
-        # follows (the window rejects earlier records), and every author is
-        # retired after the last countable year: other years add only empty rows
-        year_range = (first_year, min(end_year, last_year + self.cfg.grace_years))
-        statuses = build_statuses(timelines, year_range, grace=self.cfg.grace_years)
-        return stock_table(self.states(), statuses, year_range)
+        timelines = self.timelines()  # before the states: the manifest lists the stages in order
+        window_end = self.cfg.window[1] if self.cfg.window else None
+        end_year = window_end if self.cfg.end_year is None else self.cfg.end_year
+        return stock_table(self.states(), timelines, end_year, grace=self.cfg.grace_years)
 
     def stock_cells(self) -> list[StockCell]:
         return self._cached(

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .errors import MalformedTable
-from .pipeline import read_table, write_manifest
+from .pipeline import STOCK_HEADER, read_table, write_manifest
 
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -200,15 +200,18 @@ def _class_stem(class_key: str) -> str:
 
 
 def _read_report_table(
-    path: Path, types: tuple, names: Callable[[list[str]], Iterable[str]]
+    path: Path, expected: list[str], types: tuple, names: Callable[[list[str]], Iterable[str]]
 ) -> tuple[list[str], list[list[str]], list[list]]:
     """Header, text rows and the rows converted by ``types``; a table report
-    cannot read, or a row whose ``names`` (the parts of its chart's file name)
-    are not plain, is one error naming its file and line."""
+    cannot read, a header other than ``expected``, or a row whose ``names``
+    (the parts of its chart's file name) are not plain, is one error naming
+    its file and line."""
     try:
         header, rows = read_table(path)
     except UnicodeDecodeError:
         raise MalformedTable(f"{path}: not valid UTF-8") from None
+    if header != expected:
+        raise MalformedTable(f"{path}: line 1: header {','.join(header)!r}, expected {','.join(expected)!r}")
     values = []
     for line_no, row in enumerate(rows, start=2):
         if len(row) != len(types):
@@ -242,16 +245,19 @@ def _chart_indicator_table(values: list[list], out_dir: Path) -> list[str]:
 def write_report(src: Path, out_dir: Path) -> None:
     """``summary.txt``, the charts and a manifest in ``out_dir``, from the
     tables found in the indicators directory ``src``."""
+    from .indicators import INDICATOR_HEADER  # not loaded with the cli, which imports this module
     if not src.is_dir():
         raise NotADirectoryError(f"{src} is not a directory")
     # every table is read and checked before the first file is written
     tables = [
-        (name, _read_report_table(src / f"{name}.csv", _INDICATOR_TYPES, lambda row: row[2:4]))
+        (name, _read_report_table(src / f"{name}.csv", INDICATOR_HEADER, _INDICATOR_TYPES,
+                                  lambda row: row[2:4]))
         for name in ("pp10", "shares", "intl", "class_intl", "direction", "ratio")
         if (src / f"{name}.csv").exists()
     ]
     stocks_path = src / "stocks.csv"
-    stocks = (_read_report_table(stocks_path, _STOCK_TYPES, lambda row: [_class_stem(row[0])])
+    stocks = (_read_report_table(stocks_path, STOCK_HEADER, _STOCK_TYPES,
+                                 lambda row: [_class_stem(row[0])])
               if stocks_path.exists() else None)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_parts = []

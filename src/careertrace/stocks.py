@@ -5,7 +5,8 @@ publication exists) are always carried forward from the last known
 position, and trailing silence is kept for ``grace`` further years (default
 2), after which the author is retired and excluded. Each stock cell splits
 into authors entering the class that year (new movement) and authors who
-entered earlier and are still active (preceding stock).
+entered earlier and are still active (preceding stock). ``stock_table``, the
+one entry point, works out which years count from the timelines and an end year.
 """
 
 from __future__ import annotations
@@ -67,40 +68,40 @@ class StockCell:
 
 
 def stock_table(
-    states: Mapping[str, list[MobilityState]],
-    statuses: Mapping[tuple[str, int], str],
-    year_range: tuple[int, int],
+    states: Mapping[str, list[MobilityState]], timelines: Mapping[str, CareerTimeline],
+    end_year: int | None = None, *, grace: int = DEFAULT_GRACE_YEARS,
 ) -> list[StockCell]:
-    """Counts per (class, year), split into preceding stock and new movement.
+    """Counts per (class, year), split into preceding stock and new movement,
+    from the first publication year to ``end_year`` (default the last) but not
+    past the last publication plus ``grace``, after which every author is retired.
 
     During gap-filled years an author keeps the class and entry year of the
     last known position. Retired author-years are excluded. Every author
     contributes to at most one class per year. Cells with zero counts are
     omitted.
     """
-    y0, y1 = year_range
+    y0 = min((tl.first_year for tl in timelines.values()), default=0)
+    last_year = max((tl.last_year for tl in timelines.values()), default=0)
+    y1 = min(last_year if end_year is None else end_year, last_year + grace)
+    statuses = build_statuses(timelines, (y0, y1), grace=grace)
     new_counts: dict[tuple[str, int], int] = {}
     prec_counts: dict[tuple[str, int], int] = {}
     for author_id, author_states in states.items():
-        if not author_states:
-            continue
+        # states and statuses both start at the author's first year
         idx = 0
-        current: MobilityState | None = None
-        for year in range(max(y0, author_states[0].year), y1 + 1):
+        for year in range(author_states[0].year, y1 + 1):
             while idx < len(author_states) and author_states[idx].year <= year:
                 current = author_states[idx]
                 idx += 1
-            status = statuses.get((author_id, year))
-            if status is None or status == RETIRED or current is None:
+            if statuses[(author_id, year)] == RETIRED:
                 continue
             cell = (current.klass, year)
             if current.since_year == year:
                 new_counts[cell] = new_counts.get(cell, 0) + 1
             else:
                 prec_counts[cell] = prec_counts.get(cell, 0) + 1
-    cells = [
+    return [
         StockCell(class_key=key, year=year, preceding=prec_counts.get((key, year), 0),
                   new_movement=new_counts.get((key, year), 0))
         for key, year in sorted(set(new_counts) | set(prec_counts))
     ]
-    return cells

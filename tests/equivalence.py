@@ -13,7 +13,7 @@ import bruteforce as bf
 from careertrace.corpus import parse_corpus
 from careertrace.indicators import IndicatorEngine, citation_baselines, fwci, top10_flags
 from careertrace.mobility import classify, detect_moves
-from careertrace.stocks import build_statuses, stock_table
+from careertrace.stocks import stock_table
 from careertrace.timeline import build_timelines
 
 RATIO_TOL = 1e-9
@@ -74,8 +74,7 @@ def compare_pipeline_to_oracle(corpus_lines: list[str], scheme, home: str = "CHN
 
     # stocks
     year_range = corpus.window
-    statuses = build_statuses(timelines, year_range, grace=grace)
-    cells = stock_table(states, statuses, year_range)
+    cells = stock_table(states, timelines, year_range[1], grace=grace)
     got_cells = {(c.class_key, c.year): (c.preceding, c.new_movement) for c in cells}
     bf_positions = bf_timelines
     expected_cells = bf.stocks(bf_positions, bf_classes, year_range, grace)

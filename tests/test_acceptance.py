@@ -212,8 +212,7 @@ def test_criterion_4_stock_rules():
     )
     timelines = build_timelines(corpus)
     states = {a: classify(tl, [], "CHN", SCHEME) for a, tl in timelines.items()}
-    statuses = build_statuses(timelines, (2000, 2012))
-    cells = stock_table(states, statuses, (2000, 2012))
+    cells = stock_table(states, timelines, 2012)
     dom = {c.year: c.total for c in cells if c.class_key == "Domestic(CHN)"}
     interior_ok = all(dom.get(y) == 1 for y in range(2000, 2013))
 
@@ -225,8 +224,8 @@ def test_criterion_4_stock_rules():
         corpus, _ = generate(cfg, SCHEME)
         timelines, states = _pipeline_states(corpus)
         year_range = corpus.window
+        cells = stock_table(states, timelines, year_range[1])
         statuses = build_statuses(timelines, year_range)
-        cells = stock_table(states, statuses, year_range)
         totals = {(c.class_key, c.year): c.total for c in cells}
         new = {(c.class_key, c.year): c.new_movement for c in cells}
         assign = _class_by_author_year(states, statuses, year_range)

@@ -1,6 +1,7 @@
 """The package's top-level names are exactly the README's documented API, the
-pipeline loads without the report module, and the benchmark tracer's entry
-points and counters resolve against the package."""
+pipeline loads without the report module, only the stocks module binds the
+status grid, and the benchmark tracer's entry points and counters resolve
+against the package."""
 
 import ast
 import os
@@ -51,13 +52,29 @@ def test_readme_python_api_block_runs(tmp_path, monkeypatch):
     assert klass == next(row[2] for row in rows if row[0] == "a000042")
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a new interpreter that imports the package from ``src``."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
 def test_pipeline_loads_without_the_report_module():
     """The pipeline owns the table format and the manifest, so a fresh
     interpreter that imports it has not loaded the report's charts."""
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, careertrace.pipeline; sys.exit('careertrace.report' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert run_fresh(code).returncode == 0
+
+
+def test_only_the_stocks_module_binds_the_status_grid():
+    """``stocks`` owns the countable-years rule: with the cli and every module
+    a command loads lazily imported, no other module binds ``build_statuses``."""
+    code = ("import sys, careertrace.cli, careertrace.indicators, careertrace.synth\n"
+            "print(*sorted(name for name, m in sys.modules.items()\n"
+            "              if name.split('.')[0] == 'careertrace' and 'build_statuses' in vars(m)))")
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["careertrace.stocks"]
 
 
 def load_tracer_module():

@@ -245,7 +245,7 @@ def test_stocks_grid_ends_at_last_countable_year(small_corpus, tmp_path, monkeyp
     """An end year past the last publication plus grace builds no grid years
     beyond it, and writes the table the last countable year writes; a window
     starting before the first publication builds none before that."""
-    import careertrace.pipeline as pipeline
+    import careertrace.stocks as stocks
 
     ranges = []
 
@@ -255,7 +255,7 @@ def test_stocks_grid_ends_at_last_countable_year(small_corpus, tmp_path, monkeyp
         assert year_range[0] == 2005, year_range
         return build_statuses(timelines, year_range, **kwargs)
 
-    monkeypatch.setattr(pipeline, "build_statuses", recording)
+    monkeypatch.setattr(stocks, "build_statuses", recording)
     far, near = tmp_path / "far.csv", tmp_path / "near.csv"
     wide, plain = tmp_path / "wide.csv", tmp_path / "plain.csv"
     assert run(["stocks", str(small_corpus), "-o", str(far), "--no-cache",
@@ -329,9 +329,15 @@ STOCKS_HEADER = b"class,year,preceding,new_movement,total\n"
     ("stocks.csv", STOCKS_HEADER + b'"ReturneeResident(CHN,U S)",2000,1,0,1\n',
      "'ReturneeResident_CHN_U S'"),
     ("ratio.csv", PP10_HEADER + b"USA,2000,a b,full,0.5\n", "'a b'"),
+    # a header other than the writer's, which would chart columns under the wrong names
+    ("pp10.csv", b"", "line 1: header '', expected 'population,year,metric,counting,value'"),
+    ("stocks.csv", b"class,year,new_movement,preceding,total\nDomestic(CHN),2005,0,1,1\n",
+     "line 1: header 'class,year,new_movement,preceding,total', "
+     "expected 'class,year,preceding,new_movement,total'"),
 ], ids=["value", "short-row", "non-utf8", "stocks-short-row", "stocks-year",
         "metric-path", "counting-path", "metric-subdirectory", "metric-space", "metric-empty",
-        "stock-class-path", "stock-host-space", "ratio-metric-space"])
+        "stock-class-path", "stock-host-space", "ratio-metric-space", "no-header",
+        "stocks-header-swapped"])
 def test_report_on_malformed_table_is_one_error_line(tmp_path, capsys, name, body, reason):
     src = tmp_path / "a" / "b" / "ind"
     src.mkdir(parents=True)
@@ -346,6 +352,22 @@ def test_report_on_malformed_table_is_one_error_line(tmp_path, capsys, name, bod
                   "(letters, digits, '_' and '-')")
     assert capsys.readouterr().err == f"careertrace: error: {path}: {reason}\n"
     assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["moves"], ["stocks"], ["indicators"], ["indicators", "--metrics", "stocks,ratio"],
+], ids=["moves", "stocks", "indicators", "indicators-stocks-ratio"])
+def test_home_outside_the_scheme_is_checked_without_authors(tmp_path, capsys, argv):
+    """A corpus with no author to classify still has its home checked, once,
+    before the states stage: one error line and no output."""
+    corpus = tmp_path / "blank.jsonl"
+    corpus.write_text("\n\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([argv[0], str(corpus), "-o", str(out), "--no-cache", "--home", "XYZ",
+                *argv[1:]]) == 1
+    assert capsys.readouterr().err == (
+        "careertrace: error: home region 'XYZ' is not a label of the scheme\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["moves", "indicators"])

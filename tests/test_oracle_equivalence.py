@@ -15,7 +15,7 @@ from careertrace.mobility import (
     classify,
     detect_moves,
 )
-from careertrace.stocks import build_statuses, stock_table
+from careertrace.stocks import stock_table
 from careertrace.synth import ScenarioConfig, degrade, generate
 from careertrace.timeline import build_timelines
 
@@ -73,8 +73,7 @@ def test_ratio_rows_match_oracle(seed, home, grace):
     corpus = parse_corpus(corpus_lines, scheme)
     timelines = build_timelines(corpus)
     states = {a: classify(tl, detect_moves(tl), home, scheme) for a, tl in timelines.items()}
-    cells = stock_table(states, build_statuses(timelines, corpus.window, grace=grace),
-                        corpus.window)
+    cells = stock_table(states, timelines, corpus.window[1], grace=grace)
 
     bf_timelines = bf.timelines(bf.parse_records(corpus_lines), oracle_scheme(scheme))
     bf_classes = {a: bf.classes(p, bf.moves(p), home) for a, p in bf_timelines.items()}

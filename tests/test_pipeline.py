@@ -31,7 +31,7 @@ from careertrace.pipeline import (
     timelines_to_rows,
     write_table,
 )
-from careertrace.stocks import build_statuses, stock_table
+from careertrace.stocks import stock_table
 from careertrace.timeline import TIE_RULES, build_timelines
 
 from conftest import lines, random_records
@@ -106,7 +106,7 @@ def test_stages_leave_their_inputs_unmutated(seed):
         for host_attribution in HOST_ATTRIBUTIONS:
             for a, tl in tls.items():
                 classify(tl, moves[a], "USA", scheme, host_attribution)
-        stock_table(states, build_statuses(tls, corpus.window), corpus.window)
+        stock_table(states, tls, corpus.window[1])
         rows_to_timelines(timelines_to_rows(tls, scheme), scheme)
     engine = IndicatorEngine(corpus, states, "CHN")
     for family in (engine.pp10_rows, engine.share_rows, engine.intl_rows,

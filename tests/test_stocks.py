@@ -34,16 +34,12 @@ def status_of(tl, year, grace=2):
     return build_statuses({"a": tl}, (year, year), grace=grace).get(("a", year))
 
 
-def pipeline_states(scheme, records, home="CHN", grace=2, end_year=None, year_range=None):
-    corpus = corpus_of(*records)
-    timelines = build_timelines(corpus)
+def pipeline_states(scheme, records, home="CHN"):
+    timelines = build_timelines(corpus_of(*records))
     states = {
         a: classify(tl, detect_moves(tl), home, scheme) for a, tl in timelines.items()
     }
-    end = end_year if end_year is not None else corpus.window[1]
-    rng = year_range or (corpus.window[0], end)
-    statuses = build_statuses(timelines, rng, grace=grace)
-    return states, statuses, rng
+    return states, timelines
 
 
 def test_interior_gap_is_filled(scheme):
@@ -112,15 +108,16 @@ def test_interior_gap_filled_regardless_of_length(scheme):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 60),
     grace=st.integers(0, 3),
-    extra_years=st.integers(0, 4),
+    end_offset=st.integers(-3, 4),
 )
-def test_statuses_and_stocks_match_oracle(seed, n, grace, extra_years):
+def test_statuses_and_stocks_match_oracle(seed, n, grace, end_offset):
     """Every cell equals ``bf.status``, none precedes a career, and the stock
-    table equals ``bf.stocks``, for any grace and an end year past the data."""
+    table equals ``bf.stocks``, for any grace and an end year from three years
+    before the last publication to four past it."""
     records = random_records(random.Random(seed), n)
     corpus = corpus_of(*records)
     scheme = corpus.scheme
-    year_range = (corpus.window[0], corpus.window[1] + extra_years)
+    year_range = (corpus.window[0], corpus.window[1] + end_offset)
     timelines = build_timelines(corpus)
     statuses = build_statuses(timelines, year_range, grace=grace)
 
@@ -141,7 +138,7 @@ def test_statuses_and_stocks_match_oracle(seed, n, grace, extra_years):
         a: bf.classes(positions, bf.moves(positions), "CHN")
         for a, positions in bf_timelines.items()
     }
-    cells = stock_table(states, statuses, year_range)
+    cells = stock_table(states, timelines, year_range[1], grace=grace)
     got = {(c.class_key, c.year): (c.preceding, c.new_movement) for c in cells}
     assert got == bf.stocks(bf_timelines, bf_classes, year_range, grace)
 
@@ -153,8 +150,8 @@ def test_stock_table_overseas_entry(scheme):
         rec("p2", 2011, [("a1", ["USA"])]),
         rec("p3", 2012, [("a1", ["USA"])]),
     ]
-    states, statuses, _ = pipeline_states(scheme, records, year_range=(2010, 2012))
-    cells = stock_table(states, statuses, (2010, 2012))
+    states, timelines = pipeline_states(scheme, records)
+    cells = stock_table(states, timelines, 2012)
     overseas = {(c.year): c for c in cells if c.class_key == "Overseas(CHN,USA)"}
     assert (overseas[2010].preceding, overseas[2010].new_movement) == (0, 1)
     assert (overseas[2011].preceding, overseas[2011].new_movement) == (1, 0)
@@ -162,7 +159,8 @@ def test_stock_table_overseas_entry(scheme):
 
 
 def test_stock_table_empty_corpus(scheme):
-    assert stock_table({}, {}, (2000, 2010)) == []
+    assert stock_table({}, {}) == []
+    assert stock_table({}, {}, 2010) == []
 
 
 def test_stock_table_returnee_grace_window(scheme):
@@ -171,10 +169,8 @@ def test_stock_table_returnee_grace_window(scheme):
         rec("p1", 2012, [("a1", ["USA"])]),
         rec("p2", 2014, [("a1", ["CHN"])]),
     ]
-    states, statuses, _ = pipeline_states(
-        scheme, records, end_year=2018, year_range=(2010, 2018)
-    )
-    cells = stock_table(states, statuses, (2010, 2018))
+    states, timelines = pipeline_states(scheme, records)
+    cells = stock_table(states, timelines, 2018)
     ret = {c.year: c for c in cells if c.class_key == "ReturneeResident(CHN,USA)"}
     assert set(ret) == {2014, 2015, 2016}
     assert (ret[2014].preceding, ret[2014].new_movement) == (0, 1)
@@ -184,10 +180,8 @@ def test_stock_table_returnee_grace_window(scheme):
 
 def test_retired_years_are_excluded(scheme):
     records = [rec("p0", 2010, [("a1", ["CHN"])])]
-    states, statuses, _ = pipeline_states(
-        scheme, records, end_year=2016, year_range=(2010, 2016)
-    )
-    cells = stock_table(states, statuses, (2010, 2016))
+    states, timelines = pipeline_states(scheme, records)
+    cells = stock_table(states, timelines, 2016)
     years = {c.year for c in cells}
     assert years == {2010, 2011, 2012}
 
@@ -198,10 +192,8 @@ def test_gap_years_keep_class_and_entry_year(scheme):
         rec("p1", 2011, [("a1", ["CHN"])]),
         rec("p2", 2015, [("a1", ["CHN"])]),
     ]
-    states, statuses, _ = pipeline_states(
-        scheme, records, end_year=2015, year_range=(2010, 2015)
-    )
-    cells = stock_table(states, statuses, (2010, 2015))
+    states, timelines = pipeline_states(scheme, records)
+    cells = stock_table(states, timelines, 2015)
     ret = {c.year: (c.preceding, c.new_movement) for c in cells
            if c.class_key == "ReturneeResident(CHN,USA)"}
     # gap years 2012-2014 carry the class forward as preceding stock
