@@ -27,8 +27,8 @@ from typing import Iterable, Iterator, TextIO
 
 from .errors import MalformedLine, SchemeError
 
-_RECORD_KEYS = frozenset({"pub_id", "year", "seq", "fields", "doc_type", "cites", "authors"})
-_AUTHOR_KEYS = frozenset({"id", "countries"})
+_REQUIRED_KEYS = ("pub_id", "year", "fields", "doc_type", "cites", "authors")
+_RECORD_KEYS = frozenset({*_REQUIRED_KEYS, "seq"})
 # Region labels are written into series names (``WLD``, ``DOM``, ``home->F``,
 # ``ALL->home``), pair labels, class keys and the cached weights text.
 _LABEL = re.compile(r"[A-Za-z0-9_]+")
@@ -178,6 +178,9 @@ class Corpus:
             yield dump_record(rec)
 
 
+_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
 def dump_record(rec: PublicationRecord) -> str:
     obj = {
         "pub_id": rec.pub_id,
@@ -190,7 +193,7 @@ def dump_record(rec: PublicationRecord) -> str:
             {"id": a.author_id, "countries": list(a.countries)} for a in rec.authorships
         ],
     }
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    return _encode(obj)
 
 
 class _Pools:
@@ -213,19 +216,23 @@ class _Pools:
 # Every value checked below comes from the JSON decoder, so exact type tests
 # (``type(x) is int``) match isinstance tests that exclude bool.
 def _parse_record(obj: object, line_no: int, pools: _Pools) -> PublicationRecord:
+    """The line's record, else its first fault in check order: not an object,
+    unknown keys, the first missing key of ``_REQUIRED_KEYS``, then each field
+    in turn. Six lookups and a key count find both key faults, and only a line
+    with one works out which comes first."""
     if type(obj) is not dict:
         raise MalformedLine(line_no, "record must be an object")
-    if not obj.keys() <= _RECORD_KEYS:
-        raise MalformedLine(line_no, f"unknown keys {sorted(obj.keys() - _RECORD_KEYS)}")
     try:
-        pub_id = obj["pub_id"]
-        year = obj["year"]
-        fields = obj["fields"]
-        doc_type = obj["doc_type"]
-        cites = obj["cites"]
-        authors = obj["authors"]
-    except KeyError as exc:
-        raise MalformedLine(line_no, f"missing key {exc.args[0]!r}") from None
+        pub_id, year, fields = obj["pub_id"], obj["year"], obj["fields"]
+        doc_type, cites, authors = obj["doc_type"], obj["cites"], obj["authors"]
+        key_fault = len(obj) != 6 + ("seq" in obj)  # a key besides the seven
+    except KeyError:
+        key_fault = True
+    if key_fault:
+        if not obj.keys() <= _RECORD_KEYS:
+            raise MalformedLine(line_no, f"unknown keys {sorted(obj.keys() - _RECORD_KEYS)}")
+        missing = next(key for key in _REQUIRED_KEYS if key not in obj)
+        raise MalformedLine(line_no, f"missing key {missing!r}")
     seq = obj.get("seq", 0)
     if type(pub_id) is not str or not pub_id:
         raise MalformedLine(line_no, "pub_id must be a non-empty string")
@@ -249,7 +256,7 @@ def _parse_record(obj: object, line_no: int, pools: _Pools) -> PublicationRecord
     authorships = []
     seen_authors: set[str] = set()
     for a in authors:
-        if type(a) is not dict or a.keys() != _AUTHOR_KEYS:
+        if type(a) is not dict or len(a) != 2 or "id" not in a or "countries" not in a:
             raise MalformedLine(line_no, "each author must be {id, countries}")
         aid, countries = a["id"], a["countries"]
         if type(aid) is not str or not aid:
@@ -266,15 +273,10 @@ def _parse_record(obj: object, line_no: int, pools: _Pools) -> PublicationRecord
         if authorship is None:
             authorship = _new_authorship(aid, countries, line_no, pools)
         authorships.append(authorship)
-    return PublicationRecord(
-        pub_id=pub_id,
-        year=pools.ints.setdefault(year, year),
-        seq=pools.ints.setdefault(seq, seq),
-        field_codes=field_codes,
-        doc_type=pools.strings.setdefault(doc_type, doc_type),
-        citation_count=cites,
-        authorships=tuple(authorships),
-    )
+    ints = pools.ints
+    return PublicationRecord(pub_id, ints.setdefault(year, year), ints.setdefault(seq, seq),
+                             field_codes, pools.strings.setdefault(doc_type, doc_type), cites,
+                             tuple(authorships))
 
 
 def _field_codes(fields: list, line_no: int, pools: _Pools) -> tuple[str, ...]:
@@ -319,7 +321,8 @@ def _load_line(line: str, line_no: int, pools: _Pools) -> PublicationRecord:
             obj, end = _scan_once(line, 0)
         except (StopIteration, ValueError):
             obj = None
-        if type(obj) is not dict or _json_whitespace(line, end).end() != len(line):
+        if type(obj) is not dict or (line[end:] != "\n"  # most lines end right after it
+                                     and _json_whitespace(line, end).end() != len(line)):
             # json.loads either names the exact problem or decodes what the
             # scanner does not start on (leading whitespace, a non-object value)
             obj = json.loads(line)
@@ -382,7 +385,8 @@ def parse_corpus(
         if type(item) is not PublicationRecord:
             raise item
         records.append(item)
-    records.sort(key=attrgetter("year", "seq", "pub_id"))
+    for key in ("pub_id", "seq", "year"):  # stable sorts: no (year, seq, pub_id) tuple per record
+        records.sort(key=attrgetter(key))
     if window is None:
         window = (records[0].year, records[-1].year) if records else (0, 0)
     return Corpus(records=records, scheme=scheme, window=window)

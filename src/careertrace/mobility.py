@@ -82,9 +82,10 @@ def detect_moves(timeline: CareerTimeline) -> list[MoveEvent]:
     moves: list[MoveEvent] = []
     prev = None
     for pos in timeline.positions:
-        if prev is not None and pos.dominant != prev:
-            moves.append(MoveEvent(from_region=prev, to_region=pos.dominant, year=pos.year))
-        prev = pos.dominant
+        dom = pos.dominant
+        if dom != prev and prev is not None:
+            moves.append(MoveEvent(prev, dom, pos.year))
+        prev = dom
     return moves
 
 
@@ -110,29 +111,30 @@ def classify(
     inbound_by_year = {
         m.year: m for m in moves if m.to_region == home
     }
+    latest = host_attribution == "latest"
     origin = timeline.origin_region
+    at_origin = domestic(origin)
     states: list[MobilityState] = []
     returnee_host: str | None = None
     prev_class: str | None = None
     since = timeline.first_year
     for pos in timeline.positions:
-        mv = inbound_by_year.get(pos.year)
+        year, dom = pos.year, pos.dominant
+        mv = inbound_by_year.get(year)
         if mv is not None:
-            if returnee_host is None or host_attribution == "latest":
+            if returnee_host is None or latest:
                 returnee_host = mv.from_region
-        dom = pos.dominant
         if returnee_host is not None:
             if dom == home:
                 klass = returnee_resident(home, returnee_host)
             else:
                 klass = returnee_abroad(home, dom)
         elif dom == origin:
-            klass = domestic(origin)
+            klass = at_origin
         else:
             klass = overseas(origin, dom)
         if klass is not prev_class:
-            since = pos.year
+            since = year
             prev_class = klass
-        states.append(MobilityState(year=pos.year, klass=klass, since_year=since))
+        states.append(MobilityState(year, klass, since))
     return states
-

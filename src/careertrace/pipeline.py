@@ -259,8 +259,7 @@ def rows_to_timelines(
             weights = weights_of[text] = _parse_weights(text, labels)
         if dominant not in labels:
             raise ValueError(f"region {dominant!r} is not in the scheme")
-        pos = YearPosition(year=years[year], weights=weights, source_pub=source_pub,
-                           dominant=dominant)
+        pos = YearPosition(years[year], weights, source_pub, dominant)
         tl = out.get(author_id)
         if tl is None:
             out[author_id] = CareerTimeline([pos])
@@ -278,7 +277,7 @@ def moves_to_rows(moves: dict[str, list[MoveEvent]]) -> Iterator[list[str]]:
 def rows_to_moves(rows: Iterable[list[str]]) -> dict[str, list[MoveEvent]]:
     out: dict[str, list[MoveEvent]] = {}
     for author_id, frm, to, year in rows:
-        out.setdefault(author_id, []).append(MoveEvent(from_region=frm, to_region=to, year=int(year)))
+        out.setdefault(author_id, []).append(MoveEvent(frm, to, int(year)))
     return out
 
 
@@ -297,9 +296,7 @@ def rows_to_states(rows: Iterable[list[str]]) -> dict[str, list[MobilityState]]:
     out: dict[str, list[MobilityState]] = {}
     for author_id, year, key, since_year in rows:
         out.setdefault(author_id, []).append(
-            MobilityState(year=years[year], klass=classes.setdefault(key, key),
-                          since_year=years[since_year])
-        )
+            MobilityState(years[year], classes.setdefault(key, key), years[since_year]))
     return out
 
 
@@ -398,9 +395,14 @@ class Pipeline:
             for a, tl in timelines.items()
         }
 
-    def states(self) -> dict[str, list[MobilityState]]:
-        if self.cfg.home not in self.scheme.labels:  # checked even when the cache holds the states
+    def _check_home(self) -> None:
+        """Runs before the cache lookup of every stage built for the home region,
+        so that no entry stored under a home the scheme lacks is ever read."""
+        if self.cfg.home not in self.scheme.labels:
             raise HomeMismatch(self.cfg.home)
+
+    def states(self) -> dict[str, list[MobilityState]]:
+        self._check_home()
         return self._cached("states", STATE_HEADER, self._build_states,
                             states_to_rows, rows_to_states)
 
@@ -411,6 +413,7 @@ class Pipeline:
         return stock_table(self.states(), timelines, end_year, grace=self.cfg.grace_years)
 
     def stock_cells(self) -> list[StockCell]:
+        self._check_home()
         return self._cached(
             "stocks", STOCK_HEADER[:4], self._build_stock_cells,
             lambda cells: (row[:4] for row in stocks_to_rows(cells)),

@@ -87,21 +87,21 @@ def stock_table(
     new_counts: dict[tuple[str, int], int] = {}
     prec_counts: dict[tuple[str, int], int] = {}
     for author_id, author_states in states.items():
-        # states and statuses both start at the author's first year
+        # states and statuses both start at the author's first year, and no
+        # year after a Retired one is countable
         idx = 0
         for year in range(author_states[0].year, y1 + 1):
             while idx < len(author_states) and author_states[idx].year <= year:
                 current = author_states[idx]
                 idx += 1
             if statuses[(author_id, year)] == RETIRED:
-                continue
+                break
             cell = (current.klass, year)
             if current.since_year == year:
                 new_counts[cell] = new_counts.get(cell, 0) + 1
             else:
                 prec_counts[cell] = prec_counts.get(cell, 0) + 1
     return [
-        StockCell(class_key=key, year=year, preceding=prec_counts.get((key, year), 0),
-                  new_movement=new_counts.get((key, year), 0))
+        StockCell(key, year, prec_counts.get((key, year), 0), new_counts.get((key, year), 0))
         for key, year in sorted(set(new_counts) | set(prec_counts))
     ]

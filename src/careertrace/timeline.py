@@ -82,16 +82,25 @@ def build_timelines(corpus: Corpus, tie_rule: str = "hysteresis") -> dict[str, C
         raise ValueError(f"tie_rule must be {' or '.join(map(repr, TIE_RULES))}, got {tie_rule!r}")
     scheme = corpus.scheme
     hysteresis = tie_rule == "hysteresis"
+    # country tuple -> (its shared weights, their dominant region or None when tied)
+    dominant_of: dict[tuple[str, ...], tuple[dict[str, float], str | None]] = {}
     timelines: dict[str, CareerTimeline] = {}
     for rec in corpus.records:
+        year = rec.year
         for a in rec.authorships:
             tl = timelines.get(a.author_id)
-            if tl is not None and tl.positions[-1].year == rec.year:
+            if tl is not None and tl.positions[-1].year == year:
                 continue
-            weights = regionalize(a.countries, scheme)
-            prev_dom = tl.positions[-1].dominant if tl is not None and hysteresis else None
-            pos = YearPosition(year=rec.year, weights=weights, source_pub=rec.pub_id,
-                               dominant=dominant_region(weights, prev_dom, scheme))
+            known = dominant_of.get(a.countries)
+            if known is None:
+                weights = regionalize(a.countries, scheme)
+                known = dominant_of[a.countries] = (
+                    weights, None if _is_tied(weights) else dominant_region(weights, None, scheme))
+            weights, dominant = known
+            if dominant is None:
+                prev_dom = tl.positions[-1].dominant if tl is not None and hysteresis else None
+                dominant = dominant_region(weights, prev_dom, scheme)
+            pos = YearPosition(year, weights, rec.pub_id, dominant)
             if tl is None:
                 timelines[a.author_id] = CareerTimeline([pos])
             else:

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from careertrace import cli
+from careertrace import cli, pipeline
 from careertrace.cli import run
-from careertrace.corpus import default_scheme, default_scheme_path
+from careertrace.corpus import RegionScheme, default_scheme, default_scheme_path
 from careertrace.indicators import IndicatorEngine
 from careertrace.mobility import HOST_ATTRIBUTIONS
 from careertrace.pipeline import ALL_METRICS, Cache, read_table
@@ -368,6 +368,33 @@ def test_home_outside_the_scheme_is_checked_without_authors(tmp_path, capsys, ar
     assert capsys.readouterr().err == (
         "careertrace: error: home region 'XYZ' is not a label of the scheme\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stocks"], ["indicators", "--metrics", "stocks,ratio"],
+], ids=["stocks", "indicators-stocks-ratio"])
+def test_home_outside_the_scheme_is_checked_on_a_stocks_cache_hit(
+        small_corpus, tmp_path, capsys, monkeypatch, argv):
+    """A stocks entry stored under a home the scheme lacks (as code before the
+    home check could store one) is never read: the home is checked first."""
+    cache = tmp_path / "cache"
+    with monkeypatch.context() as m:
+        # the same scheme file, read as if it listed XYZ as a region
+        def with_xyz(path):
+            s = default_scheme()
+            return RegionScheme({**s.regions, "XYZ": []}, [*s.labels, "XYZ"], s.other_label)
+
+        m.setattr(pipeline, "load_scheme", with_xyz)
+        assert run([argv[0], str(small_corpus), "-o", str(tmp_path / "planted"),
+                    "--cache-dir", str(cache), "--home", "XYZ", *argv[1:]]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([argv[0], str(small_corpus), "-o", str(out), "--cache-dir", str(cache),
+                "--home", "XYZ", *argv[1:]]) == 1
+    assert capsys.readouterr().err == (
+        "careertrace: error: home region 'XYZ' is not a label of the scheme\n")
+    assert not out.exists()
+    assert not tmp_path.joinpath("out.manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", ["moves", "indicators"])

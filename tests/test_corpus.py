@@ -136,6 +136,61 @@ def test_diagnostics_match_recorded_seed(scheme, case):
     assert (type(exc.value).__name__, str(exc.value)) == (kind, message)
 
 
+def _two_faults(drop=(), **changes):
+    r = rec("p1", 2005, [("a1", ["CHN"])])
+    r.update(changes)
+    for key in drop:
+        del r[key]
+    return json.dumps(r)
+
+
+def _author(aid, countries, **extra):
+    return {"id": aid, "countries": countries, **extra}
+
+
+# Lines with two faults each, with the one diagnostic the reader gave for them
+# when recorded: the reader reports the first fault in its check order.
+TWO_FAULT_DIAGNOSTICS = {
+    "unknown key and missing key": (
+        _two_faults(drop=("cites",), zeta=1), "unknown keys ['zeta']"),
+    "unknown key in place of seq": (
+        _two_faults(drop=("seq",), zeta=1), "unknown keys ['zeta']"),
+    "two missing keys": (_two_faults(drop=("authors", "fields")), "missing key 'fields'"),
+    "missing year and empty pub_id": (
+        _two_faults(drop=("year",), pub_id=""), "missing key 'year'"),
+    "empty pub_id and string year": (
+        _two_faults(pub_id="", year="x"), "pub_id must be a non-empty string"),
+    "string year and negative cites": (
+        _two_faults(year="x", cites=-1), "year must be an integer"),
+    "empty fields and list doc_type": (
+        _two_faults(fields=[], doc_type=[]), "fields must be a non-empty array of strings"),
+    "duplicate author before invalid code": (
+        _two_faults(authors=[_author("a1", ["CHN"]), _author("a1", ["USA"]),
+                             _author("a2", ["chn"])]),
+        "author 'a1' listed twice on 'p1'"),
+    "invalid code before duplicate author": (
+        _two_faults(authors=[_author("a1", ["chn"]), _author("a1", ["CHN"])]),
+        "invalid country code 'chn'"),
+    "author with a third key": (
+        _two_faults(authors=[_author("a1", ["chn"], x=1)]), "each author must be {id, countries}"),
+    "author key renamed": (
+        _two_faults(authors=[{"ids": "a1", "countries": ["chn"]}]),
+        "each author must be {id, countries}"),
+    "empty author id and no countries": (
+        _two_faults(authors=[_author("", [])]), "author id must be a non-empty string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULT_DIAGNOSTICS))
+def test_reader_reports_the_first_fault_in_check_order(scheme, case):
+    line, reason = TWO_FAULT_DIAGNOSTICS[case]
+    good = json.dumps(rec("p0", 2005, [("a1", ["CHN"])]))
+    assert [str(d) for d in iter_diagnostics([good, "", line])] == [f"line 3: {reason}"]
+    with pytest.raises(MalformedLine) as exc:
+        parse_corpus([good, "", line], scheme)
+    assert str(exc.value) == f"line 3: {reason}"
+
+
 def test_record_split_across_lines_rejected(scheme):
     r1 = json.dumps(rec("a", 2005, [("a1", ["CHN"])]))
     r2 = json.dumps(rec("b", 2005, [("a1", ["CHN"]), ("a2", ["USA"])]))

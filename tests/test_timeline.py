@@ -118,3 +118,27 @@ def test_build_timelines_permutation_invariant(scheme):
         p1 = [(p.year, p.source_pub, p.dominant, p.weights) for p in t1[author].positions]
         p2 = [(p.year, p.source_pub, p.dominant, p.weights) for p in t2[author].positions]
         assert p1 == p2
+
+
+def test_tied_weights_shared_by_authors_keep_each_previous_region(scheme):
+    """Authors share one weights dict per country tuple, but a tie is settled
+    by each author's own previous region, so no tie-broken result is shared.
+    The authors meet the tie in one order in 2005 and in the reverse order,
+    with the countries listed the other way round, in 2006."""
+    corpus = corpus_of(
+        rec("p1", 2004, [("a1", ["USA"]), ("a2", ["CHN"]), ("a3", ["DEU"])]),
+        rec("p2", 2005, [("a1", ["CHN", "USA"]), ("a2", ["CHN", "USA"]),
+                         ("a3", ["CHN", "USA"]), ("a4", ["CHN", "USA"])]),
+        rec("p3", 2006, [("a4", ["USA", "CHN"]), ("a3", ["USA", "CHN"]),
+                         ("a2", ["USA", "CHN"]), ("a1", ["USA", "CHN"])]),
+    )
+    for tie_rule, expected in [
+        # a3's previous region is not among the tied ones; a4 has none in 2005
+        ("hysteresis", {"a1": ["USA", "USA", "USA"], "a2": ["CHN", "CHN", "CHN"],
+                        "a3": ["EU28", "CHN", "CHN"], "a4": ["CHN", "CHN"]}),
+        ("label_order", {"a1": ["USA", "CHN", "CHN"], "a2": ["CHN", "CHN", "CHN"],
+                         "a3": ["EU28", "CHN", "CHN"], "a4": ["CHN", "CHN"]}),
+    ]:
+        timelines = build_timelines(corpus, tie_rule)
+        assert {a: [p.dominant for p in tl.positions] for a, tl in timelines.items()} == expected
+        assert timelines["a1"].positions[1].weights is timelines["a4"].positions[0].weights
