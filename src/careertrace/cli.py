@@ -18,7 +18,6 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -55,10 +54,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         for key, value in load_run_config(args.config).items():
             setattr(cfg, key, value)
-    for field in fields(RunConfig):  # every flag defaults to None, so a set flag wins
-        value = getattr(args, field.name, None)
+    for name in RunConfig._fields:  # every flag defaults to None, so a set flag wins
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, field.name, value)
+            setattr(cfg, name, value)
     if not cfg.metrics:
         raise InvalidConfig(f"metrics must name at least one of: {', '.join(ALL_METRICS)}")
     unknown = set(cfg.metrics) - set(ALL_METRICS)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -144,33 +143,61 @@ def default_scheme_path() -> Path:
     return Path(__file__).parent / "data" / "default_scheme.json"
 
 
-# Types built once per record or row skip frozen=True (3x slower to build); never mutate one.
-@dataclass(slots=True)
-class Authorship:
+class Value:
+    """Field-wise ``==`` (same class only) and ``repr`` over ``_fields``, as
+    ``@dataclass`` gives, without the dozen modules ``dataclasses`` loads into
+    every command; defining ``__eq__`` alone leaves instances unhashable, as
+    there. Each value class writes its own ``__init__``; the ones built per
+    record, position or row list ``_fields`` as ``__slots__``. None is frozen
+    (that makes each one 3x slower to build), so stages must never mutate one."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self._fields] == [getattr(other, f) for f in self._fields]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class Authorship(Value):
     """One author on one record, with one country per listed affiliation."""
 
-    author_id: str
-    countries: tuple[str, ...]
+    __slots__ = _fields = ("author_id", "countries")
+
+    def __init__(self, author_id: str, countries: tuple[str, ...]):
+        self.author_id = author_id
+        self.countries = countries
 
 
-@dataclass(slots=True)
-class PublicationRecord:
-    pub_id: str
-    year: int
-    seq: int
-    field_codes: tuple[str, ...]
-    doc_type: str
-    citation_count: int
-    authorships: tuple[Authorship, ...]
+class PublicationRecord(Value):
+    __slots__ = _fields = ("pub_id", "year", "seq", "field_codes", "doc_type", "citation_count",
+                           "authorships")
+
+    def __init__(self, pub_id: str, year: int, seq: int, field_codes: tuple[str, ...],
+                 doc_type: str, citation_count: int, authorships: tuple[Authorship, ...]):
+        self.pub_id = pub_id
+        self.year = year
+        self.seq = seq
+        self.field_codes = field_codes
+        self.doc_type = doc_type
+        self.citation_count = citation_count
+        self.authorships = authorships
 
 
-@dataclass  # no slots: one per run, and the pipeline holds it by weak reference
-class Corpus:
+class Corpus(Value):  # no slots: one per run, and the pipeline holds it by weak reference
     """Validated records in canonical (year, seq, pub_id) order."""
 
-    records: list[PublicationRecord]
-    scheme: RegionScheme
-    window: tuple[int, int]
+    _fields = ("records", "scheme", "window")
+
+    def __init__(self, records: list[PublicationRecord], scheme: RegionScheme,
+                 window: tuple[int, int]):
+        self.records = records
+        self.scheme = scheme
+        self.window = window
 
     def dump_lines(self) -> Iterator[str]:
         """Canonical line serialization; independent of ingestion order."""

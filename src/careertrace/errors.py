@@ -36,10 +36,6 @@ class NoStateForYear(CareerTraceError):
         self.year = year
 
 
-class EmptyReference(CareerTraceError):
-    """The reference population of a share has zero weight."""
-
-
 class InvalidConfig(CareerTraceError):
     """A scenario or run configuration failed validation."""
 

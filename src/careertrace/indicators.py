@@ -22,7 +22,7 @@ import math
 from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import Corpus, PublicationRecord, RegionScheme, regionalize
-from .errors import EmptyReference, NoStateForYear
+from .errors import NoStateForYear
 from .mobility import MobilityState, domestic, overseas, returnee_resident
 from .stocks import StockCell
 
@@ -346,11 +346,3 @@ class IndicatorEngine:
                         IndicatorRow(series, year, f"direction_{self.home}-{f}", "frac", num / den)
                     )
         return rows
-
-    def direction_share(self, series: str, partner: str) -> float:
-        """Direction share for one class series, pooled over all years."""
-        den = sum(self._dir_den.get(partner, {}).values())
-        num = sum(self._dir_num.get((series, partner), {}).values())
-        if den == 0.0:
-            raise EmptyReference(f"no {self.home}-{partner} co-publications")
-        return num / den

@@ -25,10 +25,9 @@ plain Overseas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from .corpus import RegionScheme
+from .corpus import RegionScheme, Value
 from .errors import HomeMismatch
 from .timeline import CareerTimeline
 
@@ -63,18 +62,22 @@ def returnee_abroad(home: str, host: str) -> str:
     return f"{RETURNEE_ABROAD}({home},{host})"
 
 
-@dataclass(slots=True)
-class MoveEvent:
-    from_region: str
-    to_region: str
-    year: int
+class MoveEvent(Value):
+    __slots__ = _fields = ("from_region", "to_region", "year")
+
+    def __init__(self, from_region: str, to_region: str, year: int):
+        self.from_region = from_region
+        self.to_region = to_region
+        self.year = year
 
 
-@dataclass(slots=True)
-class MobilityState:
-    year: int
-    klass: str
-    since_year: int
+class MobilityState(Value):
+    __slots__ = _fields = ("year", "klass", "since_year")
+
+    def __init__(self, year: int, klass: str, since_year: int):
+        self.year = year
+        self.klass = klass
+        self.since_year = since_year
 
 
 def detect_moves(timeline: CareerTimeline) -> list[MoveEvent]:

@@ -13,12 +13,11 @@ import json
 import sys
 import time
 import weakref
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
-from .corpus import Corpus, RegionScheme, load_corpus, load_scheme
+from .corpus import Corpus, RegionScheme, Value, load_corpus, load_scheme
 from .errors import HomeMismatch, InvalidConfig
 from .mobility import MobilityState, MoveEvent, classify, detect_moves
 from .stocks import DEFAULT_GRACE_YEARS, StockCell, stock_table
@@ -32,9 +31,9 @@ def parse_metrics(text: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
-@dataclass
-class RunConfig:
-    """Effective run configuration; file values are overridden by flags."""
+class RunConfig(Value):
+    """Effective run configuration. The class attributes are the defaults;
+    file values are set over them, and flags over those."""
 
     home: str = "CHN"
     end_year: int | None = None
@@ -45,6 +44,7 @@ class RunConfig:
     metrics: tuple[str, ...] = ALL_METRICS
     year_min: int | None = None
     year_max: int | None = None
+    _fields = tuple(__annotations__)  # the settings above, in order
 
     @property
     def window(self) -> tuple[int, int] | None:
@@ -54,7 +54,7 @@ class RunConfig:
         return None
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "metrics": list(self.metrics)}
+        return {**{f: getattr(self, f) for f in self._fields}, "metrics": list(self.metrics)}
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

@@ -11,9 +11,9 @@ one entry point, works out which years count from the timelines and an end year.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
+from .corpus import Value
 from .mobility import MobilityState
 from .timeline import CareerTimeline
 
@@ -55,12 +55,14 @@ def build_statuses(
     return statuses
 
 
-@dataclass(slots=True)
-class StockCell:
-    class_key: str
-    year: int
-    preceding: int
-    new_movement: int
+class StockCell(Value):
+    __slots__ = _fields = ("class_key", "year", "preceding", "new_movement")
+
+    def __init__(self, class_key: str, year: int, preceding: int, new_movement: int):
+        self.class_key = class_key
+        self.year = year
+        self.preceding = preceding
+        self.new_movement = new_movement
 
     @property
     def total(self) -> int:

@@ -384,19 +384,9 @@ def generate(config: ScenarioConfig, scheme: RegionScheme) -> tuple[Corpus, Grou
                         fields.append(second)
                 mean, dispersion = config.citation_model[f]
                 cites = _draw_citations(rng, mean, dispersion)
-                records.append(
-                    PublicationRecord(
-                        pub_id=f"p{pub_counter:08d}",
-                        year=year,
-                        seq=seq,
-                        field_codes=tuple(fields),
-                        doc_type=config.doc_type,
-                        citation_count=cites,
-                        authorships=tuple(
-                            Authorship(author_ids[m], countries[m][year]) for m in team
-                        ),
-                    )
-                )
+                authorships = tuple(Authorship(author_ids[m], countries[m][year]) for m in team)
+                records.append(PublicationRecord(f"p{pub_counter:08d}", year, seq, tuple(fields),
+                                                 config.doc_type, cites, authorships))
                 pub_counter += 1
                 seq += 1
     corpus = Corpus(records=records, scheme=scheme, window=(y0, y1))
@@ -477,15 +467,6 @@ def degrade(
             injected = year_inject.get(aid)
             new_auths.append(a if injected is None else Authorship(aid, injected))
         if new_auths:
-            out_records.append(
-                PublicationRecord(
-                    pub_id=rec.pub_id,
-                    year=rec.year,
-                    seq=rec.seq,
-                    field_codes=rec.field_codes,
-                    doc_type=rec.doc_type,
-                    citation_count=rec.citation_count,
-                    authorships=tuple(new_auths),
-                )
-            )
+            out_records.append(PublicationRecord(rec.pub_id, rec.year, rec.seq, rec.field_codes,
+                                                 rec.doc_type, rec.citation_count, tuple(new_auths)))
     return Corpus(records=out_records, scheme=scheme, window=corpus.window)

@@ -7,24 +7,26 @@ year still count toward output indicators but do not define location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .corpus import Corpus, RegionScheme, regionalize
+from .corpus import Corpus, RegionScheme, Value, regionalize
 
 TIE_RULES = ("hysteresis", "label_order")
 
 
-@dataclass(slots=True)
-class YearPosition:
-    year: int
-    weights: dict[str, float]
-    source_pub: str
-    dominant: str
+class YearPosition(Value):
+    __slots__ = _fields = ("year", "weights", "source_pub", "dominant")
+
+    def __init__(self, year: int, weights: dict[str, float], source_pub: str, dominant: str):
+        self.year = year
+        self.weights = weights
+        self.source_pub = source_pub
+        self.dominant = dominant
 
 
-@dataclass(slots=True)
-class CareerTimeline:
-    positions: list[YearPosition]
+class CareerTimeline(Value):
+    __slots__ = _fields = ("positions",)
+
+    def __init__(self, positions: list[YearPosition]):
+        self.positions = positions
 
     @property
     def origin_region(self) -> str:

@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +22,14 @@ def rec(pub_id, year, authors, seq=0, fields=("F1",), doc_type="ar", cites=0):
         "cites": cites,
         "authors": [{"id": a, "countries": list(c)} for a, c in authors],
     }
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a new interpreter that imports the package from ``src``."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
 
 
 def lines(*records):

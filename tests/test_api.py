@@ -4,17 +4,14 @@ status grid, and the benchmark tracer's entry points and counters resolve
 against the package."""
 
 import ast
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import careertrace
 from careertrace.cli import run
 from careertrace.pipeline import read_table
 
-from conftest import lines, rec
+from conftest import lines, rec, run_fresh
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -50,13 +47,6 @@ def test_readme_python_api_block_runs(tmp_path, monkeypatch):
     assert run(["moves", "corpus.jsonl", "--home", "CHN", "-o", "moves", "--no-cache"]) == 0
     _header, rows = read_table("moves/states.csv")
     assert klass == next(row[2] for row in rows if row[0] == "a000042")
-
-
-def run_fresh(code: str) -> subprocess.CompletedProcess:
-    """``code`` run by a new interpreter that imports the package from ``src``."""
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
 def test_pipeline_loads_without_the_report_module():

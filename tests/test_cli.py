@@ -22,7 +22,7 @@ from careertrace.pipeline import ALL_METRICS, Cache, read_table
 from careertrace.stocks import build_statuses
 from careertrace.timeline import TIE_RULES
 
-from conftest import lines, random_records, rec
+from conftest import lines, random_records, rec, run_fresh
 from equivalence import oracle_scheme
 
 
@@ -152,27 +152,36 @@ def test_module_entry_point_reports_bad_lines(tmp_path):
 def test_cli_import_leaves_synth_unloaded():
     """Only the synth command imports the generator and only the indicators
     command the indicator engine, so no other command pays for them."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    code = ("import sys, careertrace.cli; "
-            "print(sorted(m for m in sys.modules if 'synth' in m or 'indicators' in m))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=60)
+    proc = run_fresh("import sys, careertrace.cli; "
+                     "print(sorted(m for m in sys.modules if 'synth' in m or 'indicators' in m))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
 
-def test_commands_leave_datetime_unloaded(small_corpus, tmp_path):
-    """The manifest timestamp comes from ``time``; no command imports ``datetime``."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    code = ("import sys, careertrace.cli as c; "
-            f"assert c.run(['moves', {str(small_corpus)!r}, '-o', {str(tmp_path / 'm')!r}, "
-            "'--no-cache']) == 0; print('datetime' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=60)
+@pytest.mark.parametrize("command", ["validate", "timelines", "moves", "stocks", "indicators", "report"])
+def test_commands_leave_dataclasses_inspect_and_datetime_unloaded(command, small_corpus, tmp_path):
+    """The value classes are plain classes and the manifest timestamp comes
+    from ``time``, so no command loads ``dataclasses`` (with the ``inspect``
+    it imports) or ``datetime``."""
+    out = tmp_path / "run" / "out"
+    out.parent.mkdir()
+    if command == "validate":
+        argv = ["validate", str(small_corpus)]
+    elif command == "report":
+        tables = tmp_path / "tables"
+        assert run(["indicators", str(small_corpus), "-o", str(tables), "--no-cache"]) == 0
+        argv = ["report", str(tables), "-o", str(out)]
+    else:
+        argv = [command, str(small_corpus), "-o", str(out), "--no-cache"]
+    proc = run_fresh(f"import sys, careertrace.cli as c; status = c.run({argv!r}); print(status, "
+                     "*sorted({'dataclasses', 'inspect', 'datetime'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
-    manifest = json.loads((tmp_path / "m" / "manifest.json").read_text(encoding="utf-8"))
-    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", manifest["timestamp"])
+    assert proc.stdout == "0\n"
+    manifests = list(out.parent.rglob("*manifest.json"))
+    assert len(manifests) == (command != "validate")
+    for path in manifests:
+        timestamp = json.loads(path.read_text(encoding="utf-8"))["timestamp"]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", timestamp)
 
 
 @pytest.mark.parametrize("flag", [["--no-cache"], ["--cache-dir", "c"]])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from careertrace.corpus import Corpus, default_scheme, parse_corpus, regionalize
-from careertrace.errors import EmptyReference
 from careertrace.indicators import (
     IndicatorEngine,
     citation_baselines,
@@ -19,7 +18,7 @@ from careertrace.indicators import (
 from careertrace.mobility import classify, detect_moves
 from careertrace.timeline import build_timelines
 from conftest import corpus_of, lines, random_records, rec
-from equivalence import compare_pipeline_to_oracle, oracle_record_weights
+from equivalence import compare_pipeline_to_oracle, oracle_record_weights, pooled_direction_share
 
 
 def states_for(corpus, home="CHN"):
@@ -265,8 +264,8 @@ def test_copub_direction_leans_to_former_host(scheme):
 def test_copub_direction_empty_series(scheme):
     corpus = corpus_of(rec("p1", 2014, [("a1", ["CHN"])]))
     engine = engine_for(corpus)
-    with pytest.raises(EmptyReference):
-        engine.direction_share("EU28->CHN", "EU28")
+    assert not [r for r in engine.direction_rows() if r.metric == "direction_CHN-EU28"]
+    assert pooled_direction_share(engine, "EU28->CHN", "EU28") is None
 
 
 def test_output_share_constructed_thirteen_percent(scheme):
@@ -425,8 +424,8 @@ def test_symmetric_generator_direction_shares_balance(scheme):
         corpus, _ = generate(cfg, scheme)
         states = states_for(corpus)
         engine = IndicatorEngine(corpus, states, "CHN")
-        eu = engine.direction_share("EU28->CHN", "EU28")
-        us = engine.direction_share("EU28->CHN", "USA")
+        eu = pooled_direction_share(engine, "EU28->CHN", "EU28")
+        us = pooled_direction_share(engine, "EU28->CHN", "USA")
         diffs.append(eu - us)
     mean = sum(diffs) / len(diffs)
     var = sum((d - mean) ** 2 for d in diffs) / (len(diffs) - 1)
