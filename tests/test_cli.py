@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -251,20 +252,36 @@ def test_stocks_output(small_corpus, tmp_path):
 
 
 def test_stocks_grid_ends_at_last_countable_year(small_corpus, tmp_path, monkeypatch):
-    """An end year past the last publication plus grace builds no grid years
-    beyond it, and writes the table the last countable year writes; a window
-    starting before the first publication builds none before that."""
+    """Stock cost follows neither ``--end-year`` nor ``--year-min``. An end year
+    past the last publication plus grace spans the status view to that year
+    only, allocates no more in ``stock_table`` than the last countable year
+    does, and writes the same table; a window starting long before the first
+    publication spans none of the years before it and allocates no more than
+    a run without it."""
     import careertrace.stocks as stocks
 
-    ranges = []
+    ranges, peaks = [], []
 
     def recording(timelines, year_range, **kwargs):
         ranges.append(year_range)
-        # a grid from the window start below would hold 10^8 years per author
+        # the view's length is the benchmark's grid-cell count: spanned from
+        # the window start below, it would count 10^8 cells per author
         assert year_range[0] == 2005, year_range
         return build_statuses(timelines, year_range, **kwargs)
 
+    stock_table = pipeline.stock_table
+
+    def measured(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            cells = stock_table(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return cells
+
     monkeypatch.setattr(stocks, "build_statuses", recording)
+    monkeypatch.setattr(pipeline, "stock_table", measured)
     far, near = tmp_path / "far.csv", tmp_path / "near.csv"
     wide, plain = tmp_path / "wide.csv", tmp_path / "plain.csv"
     assert run(["stocks", str(small_corpus), "-o", str(far), "--no-cache",
@@ -280,6 +297,38 @@ def test_stocks_grid_ends_at_last_countable_year(small_corpus, tmp_path, monkeyp
     assert ranges == [(2005, 2014)]
     assert run(["stocks", str(small_corpus), "-o", str(plain), "--no-cache"]) == 0
     assert wide.read_bytes() == plain.read_bytes()
+    # 1 kB of slack for the few bytes that differ between runs; a cell per
+    # author-year up to 3000 would take hundreds of kB
+    far_peak, near_peak, wide_peak, plain_peak = peaks
+    assert far_peak <= near_peak + 1024, peaks
+    assert wide_peak <= plain_peak + 1024, peaks
+
+
+def test_stocks_of_a_typo_year_stay_small(tmp_path):
+    """One record dated 20017 in a corpus of 25 authors carries one author
+    through 18,000 gap years, and the corpus's last year with it. The run
+    holds the table those years write, not a cell per author-year up to the
+    typo (450,000 of them, some 50 MB), and the table equals ``bf.stocks``."""
+    records = random_records(random.Random(20017), 100)
+    records.append(rec("typo", 20017, [("x000", ["USA"])]))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, records)
+    out = tmp_path / "stocks.csv"
+    tracemalloc.start()
+    try:
+        assert run(["stocks", str(path), "-o", str(out), "--no-cache"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+
+    positions = bf.timelines(bf.parse_records(lines(*records)), oracle_scheme(default_scheme()))
+    classes = {a: bf.classes(p, bf.moves(p), "CHN") for a, p in positions.items()}
+    expected = bf.stocks(positions, classes, (min(r["year"] for r in records), 20017), 2)
+    _header, rows = read_table(out)
+    got = {(key, int(year)): (int(prec), int(new)) for key, year, prec, new, _total in rows}
+    assert len(got) > 18_000
+    assert got == expected
 
 
 @pytest.mark.parametrize("grace", [0, 3])

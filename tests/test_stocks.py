@@ -129,6 +129,7 @@ def test_statuses_and_stocks_match_oracle(seed, n, grace, end_offset):
         if year >= positions[0][0]
     }
     assert statuses == expected
+    assert len(statuses) == len(expected)  # the benchmark counts grid cells by len()
     assert all(year >= timelines[a].first_year for a, year in statuses)
     shared = {}  # authors share each year's int, not one per cell
     assert all(shared.setdefault(year, year) is year for _, year in statuses)
@@ -141,6 +142,50 @@ def test_statuses_and_stocks_match_oracle(seed, n, grace, end_offset):
     cells = stock_table(states, timelines, year_range[1], grace=grace)
     got = {(c.class_key, c.year): (c.preceding, c.new_movement) for c in cells}
     assert got == bf.stocks(bf_timelines, bf_classes, year_range, grace)
+
+
+@st.composite
+def gapped_careers(draw):
+    """Records for a few authors, one per active year, with careers starting
+    up to 15 years apart and gaps of up to eight years between publications.
+    Each year either keeps the previous year's countries, so that one class
+    can hold an author for decades, or draws one or two new ones."""
+    records = []
+    for a in range(draw(st.integers(1, 6))):
+        year = draw(st.integers(2000, 2015))
+        for i in range(draw(st.integers(1, 8))):
+            if i:
+                year += draw(st.integers(1, 9))
+            if not i or draw(st.booleans()):
+                countries = draw(st.lists(st.sampled_from(["CHN", "USA", "DEU", "JPN"]),
+                                          min_size=1, max_size=2))
+            records.append(rec(f"a{a}-{i}", year, [(f"a{a}", countries)]))
+    return records
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    records=gapped_careers(),
+    grace=st.integers(0, 3),
+    home=st.sampled_from(["CHN", "USA"]),
+    data=st.data(),
+)
+def test_interval_stocks_match_oracle_on_gapped_careers(records, grace, home, data):
+    """The class-interval walk equals ``bf.stocks``, in (class, year) order,
+    when interior gaps outlast ``grace`` and the end year falls anywhere from
+    before the first publication to past the last."""
+    corpus = corpus_of(*records)
+    first, last = corpus.window
+    year_range = (first, data.draw(st.integers(first - 1, last + 5), label="end year"))
+    timelines = build_timelines(corpus)
+    states = {a: classify(tl, detect_moves(tl), home, corpus.scheme) for a, tl in timelines.items()}
+    cells = stock_table(states, timelines, year_range[1], grace=grace)
+
+    bf_timelines = bf.timelines(bf.parse_records(lines(*records)), oracle_scheme(corpus.scheme))
+    bf_classes = {a: bf.classes(p, bf.moves(p), home) for a, p in bf_timelines.items()}
+    got = {(c.class_key, c.year): (c.preceding, c.new_movement) for c in cells}
+    assert got == bf.stocks(bf_timelines, bf_classes, year_range, grace)
+    assert [(c.class_key, c.year) for c in cells] == sorted(got)
 
 
 def test_stock_table_overseas_entry(scheme):
