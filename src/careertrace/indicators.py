@@ -19,7 +19,7 @@ and on raw citation counts.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus, PublicationRecord, RegionScheme, regionalize
 from .errors import NoStateForYear
@@ -31,14 +31,34 @@ CohortKey = tuple[str, int, str]
 
 def citation_baselines(corpus: Corpus) -> dict[CohortKey, float]:
     """Cohort means; a record with k fields joins each of its k cohorts."""
+    # citations and sizes per distinct (field_codes, year, doc_type) first,
+    # then spread over the field cohorts: integer sums are exact in any order
+    groups: dict[tuple[tuple[str, ...], int, str], list[int]] = {}
+    for rec in corpus.records:
+        key = (rec.field_codes, rec.year, rec.doc_type)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [rec.citation_count, 1]
+        else:
+            group[0] += rec.citation_count
+            group[1] += 1
     totals: dict[CohortKey, int] = {}
     sizes: dict[CohortKey, int] = {}
-    for rec in corpus.records:
-        for f in rec.field_codes:
-            key = (f, rec.year, rec.doc_type)
-            totals[key] = totals.get(key, 0) + rec.citation_count
-            sizes[key] = sizes.get(key, 0) + 1
+    for (fields, year, doc_type), (total, size) in groups.items():
+        for f in fields:
+            key = (f, year, doc_type)
+            totals[key] = totals.get(key, 0) + total
+            sizes[key] = sizes.get(key, 0) + size
     return {key: totals[key] / sizes[key] for key in totals}
+
+
+def _expected_citations(field_codes: tuple[str, ...], year: int, doc_type: str,
+                        baselines: Mapping[CohortKey, float]) -> float:
+    """The mean of a record's field-cohort expectations: FWCI's denominator."""
+    total = 0.0
+    for f in field_codes:
+        total += baselines[(f, year, doc_type)]
+    return total / len(field_codes)
 
 
 def fwci(record: PublicationRecord, baselines: Mapping[CohortKey, float]) -> float:
@@ -47,14 +67,11 @@ def fwci(record: PublicationRecord, baselines: Mapping[CohortKey, float]) -> flo
     A zero denominator yields 0.0: every cohort of the record then has a zero
     mean, so the record itself is uncited.
     """
-    total = 0.0
-    for f in record.field_codes:
-        total += baselines[(f, record.year, record.doc_type)]
-    denom = total / len(record.field_codes)
+    denom = _expected_citations(record.field_codes, record.year, record.doc_type, baselines)
     return record.citation_count / denom if denom else 0.0
 
 
-def nearest_rank_90th(values: list[float]) -> float:
+def nearest_rank_90th(values: Sequence[float]) -> float:
     """Nearest-rank 90th percentile of a non-empty value list."""
     ordered = sorted(values)
     rank = math.ceil(0.9 * len(ordered))
@@ -72,16 +89,33 @@ def top10_flags(
     keeps the world share at 10% up to cohort granularity.
     """
     records = corpus.records
-    scores = [fwci(rec, baselines) for rec in records]
-    fwci_by_year: dict[int, list[float]] = {}
+    denoms: dict[tuple[tuple[str, ...], int, str], float] = {}  # fwci's, once per cohort key
+    # a record keeps its cohort key's denominator, one shared float, and the
+    # scores are made one year cohort at a time: a float per record, all held
+    # at once, was the engine's largest transient
+    rec_denoms = []
     cits_by_year: dict[int, list[int]] = {}
-    for rec, score in zip(records, scores):
-        fwci_by_year.setdefault(rec.year, []).append(score)
-        cits_by_year.setdefault(rec.year, []).append(rec.citation_count)
-    fwci_thresholds = {y: nearest_rank_90th(v) for y, v in fwci_by_year.items()}
-    cits_thresholds = {y: nearest_rank_90th(v) for y, v in cits_by_year.items()}
-    del fwci_by_year, cits_by_year  # read only for their thresholds
-    fwci_flags = [score > fwci_thresholds[rec.year] for rec, score in zip(records, scores)]
+    denoms_by_year: dict[int, list[float]] = {}
+    for rec in records:
+        key = (rec.field_codes, rec.year, rec.doc_type)
+        denom = denoms.get(key)
+        if denom is None:
+            denom = denoms[key] = _expected_citations(*key, baselines)
+        rec_denoms.append(denom)
+        cits = cits_by_year.get(rec.year)
+        if cits is None:
+            cits = cits_by_year[rec.year] = []
+            denoms_by_year[rec.year] = []
+        cits.append(rec.citation_count)
+        denoms_by_year[rec.year].append(denom)
+    fwci_thresholds = {
+        year: nearest_rank_90th([c / d if d else 0.0 for c, d in zip(cits, denoms_by_year[year])])
+        for year, cits in cits_by_year.items()
+    }
+    cits_thresholds = {year: nearest_rank_90th(cits) for year, cits in cits_by_year.items()}
+    del cits_by_year, denoms_by_year  # read only for their thresholds
+    fwci_flags = [(rec.citation_count / d if d else 0.0) > fwci_thresholds[rec.year]
+                  for rec, d in zip(records, rec_denoms)]
     cits_flags = [rec.citation_count > cits_thresholds[rec.year] for rec in records]
     return fwci_flags, cits_flags
 
@@ -98,21 +132,29 @@ def intl_copub(
     multi-country author is not enough. Pairs are unordered region pairs
     spanned by distinct countries, ordered by the scheme's label order.
     """
+    international, pairs = _copub([a.countries for a in record.authorships], scheme,
+                                  require_distinct_authors)
+    return international, set(pairs)
+
+
+def _copub(signature: Sequence[tuple[str, ...]], scheme: RegionScheme,
+           require_distinct_authors: bool) -> tuple[bool, list[tuple[str, str]]]:
+    """``intl_copub`` of a record whose authorships list these countries, with
+    the pairs as a list in the scheme's label order."""
     countries: set[str] = set()
-    for a in record.authorships:
-        countries.update(a.countries)
+    for c in signature:
+        countries.update(c)
     international = len(countries) >= 2 and (
-        len(record.authorships) >= 2 or not require_distinct_authors
+        len(signature) >= 2 or not require_distinct_authors
     )
     if not international:
-        return False, set()
+        return False, []
     regions = sorted({scheme.region_of(c) for c in countries}, key=scheme.rank)
-    pairs = {
+    return True, [
         (regions[i], regions[j])
         for i in range(len(regions))
         for j in range(i + 1, len(regions))
-    }
-    return True, pairs
+    ]
 
 
 class IndicatorRow(NamedTuple):
@@ -142,6 +184,17 @@ def ratio_rows(cells: Iterable[StockCell], home: str, hosts: Iterable[str]) -> l
                 value = out_total / ret_total if ret_total else math.inf
                 rows.append(IndicatorRow(host, year, "overseas_returnee_ratio", "full", value))
     return rows
+
+
+def _seek(states: Sequence[MobilityState], start: int, author: str, year: int) -> int:
+    """Index of the author's state in ``year``: searched forward from ``start``,
+    or from the beginning when ``year`` precedes the state there."""
+    i = start if start < len(states) and states[start].year < year else 0
+    while i < len(states) and states[i].year < year:
+        i += 1
+    if i < len(states) and states[i].year == year:
+        return i
+    raise NoStateForYear(author, year)
 
 
 # accumulator slots per (year, series)
@@ -181,8 +234,6 @@ class IndicatorEngine:
     def _run(self, corpus: Corpus, states: Mapping[str, list[MobilityState]],
              flags: tuple[list[bool], list[bool]], require_distinct_authors: bool) -> None:
         home = self.home
-        scheme = self.scheme
-        classes = {author: {st.year: st.klass for st in sts} for author, sts in states.items()}
         # reporting series each home-relative class feeds, with use-whole-weight
         # flag; every other class feeds none
         series_of = {domestic(home): (("DOM", False),)}
@@ -193,40 +244,37 @@ class IndicatorEngine:
         pair_acc: dict[tuple[str, str], dict[int, list[float]]] = {}  # [full, frac]
         dir_num: dict[tuple[str, str], dict[int, float]] = {}
         dir_den: dict[str, dict[int, float]] = {}
-        home_pairs = {f: tuple(sorted((home, f), key=scheme.rank)) for f in self.foreign}
+        memo: dict[tuple[tuple[str, ...], ...], tuple] = {}  # country signature -> geometry
+        shared: dict[tuple, tuple] = {}  # geometry -> its one object
+        # author -> index of the state last read; records come in year order,
+        # so an author's states are read front to back
+        cursor: dict[str, int] = {}
         for rec, top_fwci, top_cits in zip(corpus.records, *flags):
             year = rec.year
-            n = len(rec.authorships)
-            international, pairs = intl_copub(rec, scheme, require_distinct_authors)
+            auths = rec.authorships
+            signature = tuple([a.countries for a in auths])
+            geometry = memo.get(signature)
+            if geometry is None:
+                geometry = self._geometry(signature, require_distinct_authors)
+                geometry = memo[signature] = shared.setdefault(geometry, geometry)
+            auth_w, home_shares, home_w, intl_home, pair_weights, partners = geometry
             frac: dict[str, float] = {"WLD": 1.0}
             held: dict[str, float] = {}  # class series -> whole authorship weight held
-            rec_region_w: dict[str, float] = {}
-            for a in rec.authorships:
-                auth_regions = regionalize(a.countries, scheme)
-                auth_w = 1.0 / n
-                home_share = auth_regions.get(home, 0.0) * auth_w
-                for region, w in auth_regions.items():
-                    rec_region_w[region] = rec_region_w.get(region, 0.0) + w * auth_w
-                try:
-                    klass = classes[a.author_id][year]
-                except KeyError:
-                    raise NoStateForYear(a.author_id, year) from None
-                for series, whole in series_of.get(klass, ()):
+            for a, home_share in zip(auths, home_shares):
+                author = a.author_id
+                sts = states.get(author, ())
+                i = cursor.get(author, 0)
+                if i >= len(sts) or sts[i].year != year:
+                    i = cursor[author] = _seek(sts, i, author, year)
+                for series, whole in series_of.get(sts[i].klass, ()):
                     w = auth_w if whole else home_share
                     if w:
                         frac[series] = frac.get(series, 0.0) + w
                     held[series] = held.get(series, 0.0) + auth_w
-            home_w = rec_region_w.get(home, 0.0)
             if home_w:
                 frac[home] = home_w
-            # INTL slots count home-side international records only: a
-            # co-publication without a home authorship is not part of the
-            # home region's international output.
-            intl_home = international and home_w > 0.0
             by_year = acc.setdefault(year, {})
             for series, f in frac.items():
-                if f == 0.0:
-                    continue
                 slot = by_year.get(series)
                 if slot is None:
                     slot = by_year[series] = [0.0] * 8
@@ -241,24 +289,50 @@ class IndicatorEngine:
                 if intl_home:
                     slot[_INTL_FRAC] += f
                     slot[_INTL_FULL] += 1.0
-            if international:
-                for pair in pairs:
-                    p = pair_acc.setdefault(pair, {}).setdefault(year, [0.0, 0.0])
-                    p[0] += 1.0
-                    p[1] += rec_region_w.get(pair[0], 0.0) + rec_region_w.get(pair[1], 0.0)
-                for f_region in self.foreign:
-                    if home_pairs[f_region] not in pairs:
-                        continue
-                    den = dir_den.setdefault(f_region, {})
-                    den[year] = den.get(year, 0.0) + 1.0
-                    for series, w in held.items():
-                        if w:
-                            d = dir_num.setdefault((series, f_region), {})
-                            d[year] = d.get(year, 0.0) + w
+            for pair, w in pair_weights:
+                p = pair_acc.setdefault(pair, {}).setdefault(year, [0.0, 0.0])
+                p[0] += 1.0
+                p[1] += w
+            for f_region in partners:
+                den = dir_den.setdefault(f_region, {})
+                den[year] = den.get(year, 0.0) + 1.0
+                for series, w in held.items():
+                    if w:
+                        d = dir_num.setdefault((series, f_region), {})
+                        d[year] = d.get(year, 0.0) + w
         self._acc = acc
         self._pair_acc = pair_acc
         self._dir_num = dir_num
         self._dir_den = dir_den
+
+    def _geometry(self, signature: tuple[tuple[str, ...], ...], require_distinct_authors: bool
+                  ) -> tuple:
+        """What a record contributes that depends only on its authorships'
+        countries: the authorship weight, each authorship's home share, the
+        home weight, the home-side international flag, each cross-region
+        pair with its fractional weight, and the foreign regions whose home
+        pair the record spans."""
+        home = self.home
+        scheme = self.scheme
+        auth_w = 1.0 / len(signature)
+        home_shares = []
+        region_w: dict[str, float] = {}
+        for countries in signature:
+            auth_regions = regionalize(countries, scheme)
+            home_shares.append(auth_regions.get(home, 0.0) * auth_w)
+            for region, w in auth_regions.items():
+                region_w[region] = region_w.get(region, 0.0) + w * auth_w
+        home_w = region_w.get(home, 0.0)
+        international, pairs = _copub(signature, scheme, require_distinct_authors)
+        # INTL slots count home-side international records only: a
+        # co-publication without a home authorship is not part of the
+        # home region's international output.
+        intl_home = international and home_w > 0.0
+        pair_weights = tuple(
+            (pair, region_w.get(pair[0], 0.0) + region_w.get(pair[1], 0.0)) for pair in pairs
+        )
+        partners = tuple(b if a == home else a for a, b in pairs if home in (a, b))
+        return auth_w, tuple(home_shares), home_w, intl_home, pair_weights, partners
 
     def years(self) -> list[int]:
         return sorted(self._acc)

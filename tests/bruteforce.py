@@ -256,8 +256,9 @@ def is_international(rec, require_distinct_authors: bool = False) -> bool:
     return True
 
 
-def region_pairs(rec, scheme: Scheme) -> set[tuple[str, str]]:
-    if not is_international(rec):
+def region_pairs(rec, scheme: Scheme, require_distinct_authors: bool = False
+                 ) -> set[tuple[str, str]]:
+    if not is_international(rec, require_distinct_authors):
         return set()
     countries = {c for a in rec["authors"] for c in a["countries"]}
     regions = {scheme.region_of(c) for c in countries}

@@ -51,7 +51,7 @@ def pooled_direction_share(engine, series: str, partner: str) -> float | None:
 
 
 def compare_pipeline_to_oracle(corpus_lines: list[str], scheme, home: str = "CHN",
-                               grace: int = 2) -> None:
+                               grace: int = 2, require_distinct_authors: bool = False) -> None:
     corpus = parse_corpus(corpus_lines, scheme)
     records = bf.parse_records(corpus_lines)
     oracle = oracle_scheme(scheme)
@@ -111,16 +111,17 @@ def compare_pipeline_to_oracle(corpus_lines: list[str], scheme, home: str = "CHN
         assert got_cits == t_cits, rec.pub_id
 
     # indicator families from the engine
-    engine = IndicatorEngine(corpus, states, home)
+    distinct = require_distinct_authors
+    engine = IndicatorEngine(corpus, states, home, distinct)
     foreign = [r for r in scheme.labels if r != home]
     series_list = (["DOM"] + [f"{home}->{f}" for f in foreign]
                    + [f"{f}->{home}" for f in foreign] + [f"ALL->{home}"])
     membership = _oracle_membership(bf_classes, home)
-    _compare_share_rows(engine, records, oracle, membership, home, series_list)
+    _compare_share_rows(engine, records, oracle, membership, home, series_list, distinct)
     _compare_pp10_rows(engine, records, oracle, membership, bf_scores, home)
-    _compare_intl_rows(engine, records, oracle)
-    _compare_class_intl_rows(engine, records, oracle, membership, home, series_list)
-    _compare_direction(engine, records, oracle, membership, home, foreign, series_list)
+    _compare_intl_rows(engine, records, oracle, distinct)
+    _compare_class_intl_rows(engine, records, oracle, membership, home, series_list, distinct)
+    _compare_direction(engine, records, oracle, membership, home, foreign, series_list, distinct)
 
 
 def _oracle_membership(bf_classes, home: str):
@@ -181,7 +182,7 @@ def oracle_record_weights(corpus_lines: list[str], scheme, home: str = "CHN") ->
     return out
 
 
-def _compare_share_rows(engine, records, oracle, membership, home, series_list):
+def _compare_share_rows(engine, records, oracle, membership, home, series_list, distinct):
     rows = {(r.population, r.year, r.metric, r.counting): r.value for r in engine.share_rows()}
     years = sorted({r["year"] for r in records})
     for year in years:
@@ -195,7 +196,7 @@ def _compare_share_rows(engine, records, oracle, membership, home, series_list):
                 if value > 0:
                     frac[series] = frac.get(series, 0.0) + value
                     full[series] = full.get(series, 0) + 1
-            if bf.is_international(rec) and w.get(home, 0.0) > 0:
+            if bf.is_international(rec, distinct) and w.get(home, 0.0) > 0:
                 intl_frac += w[home]
                 intl_full += 1
         world_frac, world_full = frac.get("WLD", 0.0), full.get("WLD", 0)
@@ -253,11 +254,11 @@ def _compare_pp10_rows(engine, records, oracle, membership, bf_scores, home):
                          RATIO_TOL, f"pp10_cits full {series} {year}")
 
 
-def _compare_intl_rows(engine, records, oracle):
+def _compare_intl_rows(engine, records, oracle, distinct):
     rows = {(r.population, r.year, r.counting): r.value for r in engine.intl_rows()}
     agg: dict[tuple[str, int], list[float]] = {}
     for rec in records:
-        for pair in bf.region_pairs(rec, oracle):
+        for pair in bf.region_pairs(rec, oracle, distinct):
             label = f"{pair[0]}-{pair[1]}"
             slot = agg.setdefault((label, rec["year"]), [0, 0.0])
             slot[0] += 1
@@ -273,7 +274,7 @@ def _compare_intl_rows(engine, records, oracle):
         assert_close(rows[(label, year, "frac")], frac, RATIO_TOL, f"intl frac {label} {year}")
 
 
-def _compare_class_intl_rows(engine, records, oracle, membership, home, series_list):
+def _compare_class_intl_rows(engine, records, oracle, membership, home, series_list, distinct):
     rows = {(r.population, r.year, r.counting): r.value for r in engine.class_intl_rows()}
     expected = {}
     for year in sorted({r["year"] for r in records}):
@@ -281,7 +282,7 @@ def _compare_class_intl_rows(engine, records, oracle, membership, home, series_l
         num_frac: dict[str, float] = {}
         num_full: dict[str, int] = {}
         for rec in records:
-            if rec["year"] != year or not bf.is_international(rec):
+            if rec["year"] != year or not bf.is_international(rec, distinct):
                 continue
             w = _series_weights(rec, oracle, membership, home)
             home_w = w.get(home, 0.0)
@@ -304,7 +305,8 @@ def _compare_class_intl_rows(engine, records, oracle, membership, home, series_l
         assert_close(rows[key], value, RATIO_TOL, f"class_intl {key}")
 
 
-def _compare_direction(engine, records, oracle, membership, home, foreign, series_list):
+def _compare_direction(engine, records, oracle, membership, home, foreign, series_list,
+                       distinct):
     """Every per-year direction row, and the pooled share per series."""
     rows = {(r.population, r.year, r.metric): r.value for r in engine.direction_rows()}
     expected = {}
@@ -313,7 +315,7 @@ def _compare_direction(engine, records, oracle, membership, home, foreign, serie
         den: dict[int, float] = {}
         num: dict[tuple[str, int], float] = {}
         for rec in records:
-            if pair not in bf.region_pairs(rec, oracle):
+            if pair not in bf.region_pairs(rec, oracle, distinct):
                 continue
             year = rec["year"]
             den[year] = den.get(year, 0.0) + 1

@@ -425,7 +425,7 @@ def test_criterion_8_determinism(tmp_path):
 @pytest.mark.slow
 def test_criterion_9_scale_smoke(tmp_path):
     """100k authors, 30 years, ~1M records through the full pipeline in < 5 min,
-    with `indicators` peaking at no more than 640 MB."""
+    with `indicators` peaking at no more than 615 MB."""
     scenario = {
         "seed": 1,
         "n_authors": 100_000,
@@ -468,7 +468,7 @@ def test_criterion_9_scale_smoke(tmp_path):
     elapsed = t2 - t0
     _verdict(
         "criterion 9: scale smoke test",
-        1_000_000 <= n_records <= 2_000_000 and elapsed < 300.0 and max_rss_mb <= 640.0,
+        1_000_000 <= n_records <= 2_000_000 and elapsed < 300.0 and max_rss_mb <= 615.0,
         f"records={n_records} synth={t1 - t0:.0f}s indicators={t2 - t1:.0f}s total={elapsed:.0f}s "
         f"indicators_max_rss={max_rss_mb:.0f}MB",
     )
