@@ -19,34 +19,27 @@ import gc
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import __version__
+from .config import ALL_METRICS, RunConfig, load_run_config, parse_metrics, read_config_text
 from .corpus import default_scheme_path, iter_diagnostics, load_scheme, open_corpus
 from .errors import CareerTraceError, InvalidConfig
 from .mobility import HOST_ATTRIBUTIONS
-from .pipeline import (
-    ALL_METRICS,
+from .report import write_report  # loaded eagerly: the benchmark's tracer wraps its charts
+from .tables import (
+    INDICATOR_HEADER,
     MOVE_HEADER,
     STATE_HEADER,
     STOCK_HEADER,
     TIMELINE_HEADER,
-    Cache,
-    Pipeline,
-    RunConfig,
-    load_run_config,
-    moves_to_rows,
-    parse_metrics,
-    read_config_text,
-    sha256_file,
-    states_to_rows,
-    stocks_to_rows,
-    timelines_to_rows,
     write_manifest,
     write_table,
 )
-from .report import write_report  # loaded eagerly: the benchmark's tracer wraps its charts
 from .timeline import TIE_RULES
+
+if TYPE_CHECKING:
+    from .pipeline import Pipeline
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -102,49 +95,72 @@ def _add_home_opts(parser: argparse.ArgumentParser) -> None:
                         dest="intl_requires_distinct_authors")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_timelines(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser, output="output CSV file")
+
+
+def _add_moves(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser, output="output directory")
+    _add_home_opts(parser)
+
+
+def _add_stocks(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser, output="output CSV file")
+    _add_home_opts(parser)
+
+
+def _add_indicators(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser, output="output directory")
+    _add_home_opts(parser)
+    parser.add_argument("--metrics", type=parse_metrics, default=None,
+                        help=f"comma list from: {', '.join(ALL_METRICS)}")
+
+
+def _add_synth(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", default=None, help="scenario config JSON file")
+    parser.add_argument("--scheme", default=None, help="region scheme JSON file")
+    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    parser.add_argument("--n-authors", type=int, default=None, dest="n_authors")
+    parser.add_argument("-o", "--output", required=True, help="corpus output file")
+    parser.add_argument("--truth", required=True, help="ground-truth output file")
+    parser.add_argument("--gap-probability", type=float, default=0.0, dest="gap_probability")
+    parser.add_argument("--dual-affiliation-probability", type=float, default=0.0,
+                        dest="dual_affiliation_probability")
+
+
+def _add_report(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("directory", help="indicators output directory")
+    parser.add_argument("-o", "--output", default=None, help="report directory (default <dir>/report)")
+
+
+# subcommand -> (help, its arguments), in the order -h lists them
+_SUBPARSERS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "validate": ("validate a corpus file", _add_common),
+    "timelines": ("write the author-year position table", _add_timelines),
+    "moves": ("write move and mobility-state tables", _add_moves),
+    "stocks": ("write the stock table (class, year, preceding, new)", _add_stocks),
+    "indicators": ("write indicator tables", _add_indicators),
+    "synth": ("generate a synthetic corpus with ground truth", _add_synth),
+    "report": ("render tables and SVG charts from an indicators directory", _add_report),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. When ``command`` names a subcommand, only its
+    subparser is built, which is all that parsing that command's arguments
+    needs; otherwise every subparser is."""
     parser = argparse.ArgumentParser(
         prog="careertrace",
         description="career timelines, mobility, stocks and indicators from publication metadata",
     )
     parser.add_argument("--version", action="version", version=f"careertrace {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a corpus file")
-    _add_common(p)
-
-    p = sub.add_parser("timelines", help="write the author-year position table")
-    _add_common(p, output="output CSV file")
-
-    p = sub.add_parser("moves", help="write move and mobility-state tables")
-    _add_common(p, output="output directory")
-    _add_home_opts(p)
-
-    p = sub.add_parser("stocks", help="write the stock table (class, year, preceding, new)")
-    _add_common(p, output="output CSV file")
-    _add_home_opts(p)
-
-    p = sub.add_parser("indicators", help="write indicator tables")
-    _add_common(p, output="output directory")
-    _add_home_opts(p)
-    p.add_argument("--metrics", type=parse_metrics, default=None,
-                   help=f"comma list from: {', '.join(ALL_METRICS)}")
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
-    p.add_argument("--config", default=None, help="scenario config JSON file")
-    p.add_argument("--scheme", default=None, help="region scheme JSON file")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p.add_argument("--n-authors", type=int, default=None, dest="n_authors")
-    p.add_argument("-o", "--output", required=True, help="corpus output file")
-    p.add_argument("--truth", required=True, help="ground-truth output file")
-    p.add_argument("--gap-probability", type=float, default=0.0, dest="gap_probability")
-    p.add_argument("--dual-affiliation-probability", type=float, default=0.0,
-                   dest="dual_affiliation_probability")
-
-    p = sub.add_parser("report", help="render tables and SVG charts from an indicators directory")
-    p.add_argument("directory", help="indicators output directory")
-    p.add_argument("-o", "--output", default=None, help="report directory (default <dir>/report)")
-
+    names = [command] if command in _SUBPARSERS else list(_SUBPARSERS)
+    # with one subparser built, the usage line a later error prints still names every command
+    metavar = None if len(names) > 1 else "{" + ",".join(_SUBPARSERS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments = _SUBPARSERS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -153,6 +169,8 @@ def _scheme_path(args: argparse.Namespace) -> Path:
 
 
 def _make_pipeline(args: argparse.Namespace) -> Pipeline:
+    from .pipeline import Cache, Pipeline  # only the commands that run stages load it
+
     cfg = build_run_config(args)
     cache_root = Path(args.cache_dir) if args.cache_dir else Path.home() / ".cache" / "careertrace"
     cache = None if args.no_cache else Cache(cache_root)
@@ -174,6 +192,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_timelines(args: argparse.Namespace) -> int:
+    from .pipeline import timelines_to_rows
+
     pipe = _make_pipeline(args)
     timelines = pipe.timelines()
     out = Path(args.output)
@@ -185,6 +205,8 @@ def cmd_timelines(args: argparse.Namespace) -> int:
 
 
 def cmd_moves(args: argparse.Namespace) -> int:
+    from .pipeline import moves_to_rows, states_to_rows
+
     pipe = _make_pipeline(args)
     moves, states, timelines = pipe.moves(), pipe.states(), pipe.timelines()
     out_dir = Path(args.output)
@@ -204,6 +226,8 @@ def cmd_moves(args: argparse.Namespace) -> int:
 
 
 def cmd_stocks(args: argparse.Namespace) -> int:
+    from .pipeline import stocks_to_rows
+
     pipe = _make_pipeline(args)
     cells = pipe.stock_cells()
     out = Path(args.output)
@@ -215,7 +239,8 @@ def cmd_stocks(args: argparse.Namespace) -> int:
 
 
 def cmd_indicators(args: argparse.Namespace) -> int:
-    from .indicators import INDICATOR_HEADER, IndicatorEngine, ratio_rows  # only this command needs it
+    from .indicators import IndicatorEngine, ratio_rows  # only this command needs it
+    from .pipeline import stocks_to_rows
 
     pipe = _make_pipeline(args)
     cfg = pipe.cfg
@@ -252,6 +277,7 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .pipeline import sha256_file
     from .synth import ScenarioConfig, degrade, generate  # only this command needs it
 
     if args.config:
@@ -319,7 +345,7 @@ def run(argv: list[str]) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        parser = build_parser()
+        parser = build_parser(argv[0] if argv else None)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -165,9 +165,6 @@ class IndicatorRow(NamedTuple):
     value: float
 
 
-INDICATOR_HEADER = list(IndicatorRow._fields)
-
-
 def ratio_rows(cells: Iterable[StockCell], home: str, hosts: Iterable[str]) -> list[IndicatorRow]:
     """Overseas(home, host) stock over ReturneeResident(home, host) stock, one
     ``overseas_returnee_ratio`` row per host and stock year; ``math.inf`` when
@@ -259,7 +256,9 @@ class IndicatorEngine:
                 geometry = memo[signature] = shared.setdefault(geometry, geometry)
             auth_w, home_shares, home_w, intl_home, pair_weights, partners = geometry
             frac: dict[str, float] = {"WLD": 1.0}
-            held: dict[str, float] = {}  # class series -> whole authorship weight held
+            # class series -> whole authorship weight held; only the direction
+            # rows read it, and only for a record that spans a home pair
+            held: dict[str, float] | None = {} if partners else None
             for a, home_share in zip(auths, home_shares):
                 author = a.author_id
                 sts = states.get(author, ())
@@ -270,7 +269,8 @@ class IndicatorEngine:
                     w = auth_w if whole else home_share
                     if w:
                         frac[series] = frac.get(series, 0.0) + w
-                    held[series] = held.get(series, 0.0) + auth_w
+                    if held is not None:
+                        held[series] = held.get(series, 0.0) + auth_w
             if home_w:
                 frac[home] = home_w
             by_year = acc.setdefault(year, {})

@@ -1,7 +1,7 @@
 """The staged corpus -> timelines -> moves -> states -> stocks pass behind the
-data commands, its run configuration and table cache, the CSV table format
-with each table's header and row codec, shared by the cache and the command
-outputs, and the manifest every command writes beside its outputs.
+data commands: its content-addressed table cache, each cached table's row
+codec (shared by the cache and the command outputs), and the input digests
+that key the cache and go into the manifest.
 """
 
 from __future__ import annotations
@@ -11,90 +11,18 @@ import hashlib
 import io
 import json
 import sys
-import time
 import weakref
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import __version__
-from .corpus import Corpus, RegionScheme, Value, load_corpus, load_scheme
-from .errors import HomeMismatch, InvalidConfig
+from .config import RunConfig
+from .corpus import Corpus, RegionScheme, load_corpus, load_scheme
+from .errors import HomeMismatch
 from .mobility import MobilityState, MoveEvent, classify, detect_moves
-from .stocks import DEFAULT_GRACE_YEARS, StockCell, stock_table
+from .stocks import StockCell, stock_table
+from .tables import MOVE_HEADER, STATE_HEADER, STOCK_HEADER, TIMELINE_HEADER, write_table
 from .timeline import CareerTimeline, YearPosition, build_timelines
-
-ALL_METRICS = ("pp10", "shares", "intl", "class_intl", "direction", "stocks", "ratio")
-
-
-def parse_metrics(text: str) -> tuple[str, ...]:
-    """The names in a comma-separated metric list, blanks dropped."""
-    return tuple(m.strip() for m in text.split(",") if m.strip())
-
-
-class RunConfig(Value):
-    """Effective run configuration. The class attributes are the defaults;
-    file values are set over them, and flags over those."""
-
-    home: str = "CHN"
-    end_year: int | None = None
-    grace_years: int = DEFAULT_GRACE_YEARS
-    host_attribution: str = "latest"
-    tie_rule: str = "hysteresis"
-    intl_requires_distinct_authors: bool = False
-    metrics: tuple[str, ...] = ALL_METRICS
-    year_min: int | None = None
-    year_max: int | None = None
-    _fields = tuple(__annotations__)  # the settings above, in order
-
-    @property
-    def window(self) -> tuple[int, int] | None:
-        """The configured year window, or None when it is left to the data."""
-        if self.year_min is not None and self.year_max is not None:
-            return (self.year_min, self.year_max)
-        return None
-
-    def as_dict(self) -> dict:
-        return {**{f: getattr(self, f) for f in self._fields}, "metrics": list(self.metrics)}
-
-
-_BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def read_config_text(path: str | Path) -> str:
-    """Text of a configuration file; bytes that are not UTF-8 are a config error."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise InvalidConfig(f"{path}: not valid UTF-8") from None
-
-
-def load_run_config(path: str | Path) -> dict:
-    """Parse the flat ``key = value`` run-configuration file."""
-    values: dict = {}
-    for line_no, raw in enumerate(read_config_text(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidConfig(f"{path}:{line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in ("end_year", "grace_years", "year_min", "year_max"):
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise InvalidConfig(f"{path}:{line_no}: {key} must be an integer") from None
-        elif key == "intl_requires_distinct_authors":
-            if value.lower() not in _BOOL_VALUES:
-                raise InvalidConfig(f"{path}:{line_no}: {key} must be true/false")
-            values[key] = _BOOL_VALUES[value.lower()]
-        elif key == "metrics":
-            values[key] = parse_metrics(value)
-        elif key in ("home", "host_attribution", "tie_rule"):
-            values[key] = value
-        else:
-            raise InvalidConfig(f"{path}:{line_no}: unknown key {key!r}")
-    return values
 
 
 def sha256_file(path: str | Path) -> str:
@@ -103,44 +31,6 @@ def sha256_file(path: str | Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
-
-
-def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """One CSV table: UTF-8, LF line endings, a header row and a stable column
-    order. The csv module writes floats as their shortest round-trip ``repr``
-    (so infinities as ``inf``/``-inf``) and other values with ``str``.
-    Rows are written as they are made; if making one raises, the table is
-    removed rather than left cut short."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        try:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        except BaseException:
-            fh.close()
-            Path(path).unlink(missing_ok=True)
-            raise
-
-
-def read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    return (rows[0], rows[1:]) if rows else ([], [])
-
-
-def write_manifest(
-    path: Path, subcommand: str, config: dict, inputs: dict[str, str], stages: list[dict]
-) -> None:
-    obj = {
-        "tool": "careertrace",
-        "version": __version__,
-        "subcommand": subcommand,
-        "inputs": inputs,
-        "config": config,
-        "stages": stages,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 class Cache:
@@ -195,12 +85,6 @@ class Cache:
         write_table(data_path, header, rows)
         digest_path.write_text(hashlib.sha256(data_path.read_bytes()).hexdigest() + "\n",
                                encoding="utf-8")
-
-
-TIMELINE_HEADER = ["author_id", "year", "source_pub", "dominant", "weights", "origin_ambiguous"]
-STATE_HEADER = ["author_id", "year", "class", "since_year"]
-MOVE_HEADER = ["author_id", "from", "to", "year"]
-STOCK_HEADER = ["class", "year", "preceding", "new_movement", "total"]
 
 
 def _format_weights(weights: dict[str, float], scheme: RegionScheme) -> str:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .errors import MalformedTable
-from .pipeline import STOCK_HEADER, read_table, write_manifest
+from .tables import INDICATOR_HEADER, STOCK_HEADER, read_table, write_manifest
 
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -245,7 +245,6 @@ def _chart_indicator_table(values: list[list], out_dir: Path) -> list[str]:
 def write_report(src: Path, out_dir: Path) -> None:
     """``summary.txt``, the charts and a manifest in ``out_dir``, from the
     tables found in the indicators directory ``src``."""
-    from .indicators import INDICATOR_HEADER  # not loaded with the cli, which imports this module
     if not src.is_dir():
         raise NotADirectoryError(f"{src} is not a directory")
     # every table is read and checked before the first file is written

@@ -1,7 +1,7 @@
 """The package's top-level names are exactly the README's documented API, the
-pipeline loads without the report module, only the stocks module binds the
-status grid, and the benchmark tracer's entry points and counters resolve
-against the package."""
+pipeline loads without the report module, the indicator header matches the
+engine's rows, only the stocks module binds the status grid, and the
+benchmark tracer's entry points and counters resolve against the package."""
 
 import ast
 import re
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import careertrace
 from careertrace.cli import run
-from careertrace.pipeline import read_table
+from careertrace.indicators import IndicatorRow
+from careertrace.tables import INDICATOR_HEADER, read_table
 
 from conftest import lines, rec, run_fresh
 
@@ -50,16 +51,23 @@ def test_readme_python_api_block_runs(tmp_path, monkeypatch):
 
 
 def test_pipeline_loads_without_the_report_module():
-    """The pipeline owns the table format and the manifest, so a fresh
-    interpreter that imports it has not loaded the report's charts."""
+    """The table format and the manifest live in ``tables``, so a fresh
+    interpreter that imports the pipeline has not loaded the report's charts."""
     code = "import sys, careertrace.pipeline; sys.exit('careertrace.report' in sys.modules)"
     assert run_fresh(code).returncode == 0
+
+
+def test_indicator_header_is_the_engine_row():
+    """``tables`` holds the indicator header without importing the engine's
+    module, so that ``report`` does not load it; the two must agree."""
+    assert INDICATOR_HEADER == list(IndicatorRow._fields)
 
 
 def test_only_the_stocks_module_binds_the_status_grid():
     """``stocks`` owns the countable-years rule: with the cli and every module
     a command loads lazily imported, no other module binds ``build_statuses``."""
-    code = ("import sys, careertrace.cli, careertrace.indicators, careertrace.synth\n"
+    code = ("import sys, careertrace.cli, careertrace.indicators, careertrace.pipeline, "
+            "careertrace.synth\n"
             "print(*sorted(name for name, m in sys.modules.items()\n"
             "              if name.split('.')[0] == 'careertrace' and 'build_statuses' in vars(m)))")
     result = run_fresh(code)
@@ -71,8 +79,14 @@ def load_tracer_module():
     """The benchmark's ``perfbench/tracer.py``, loaded by path."""
     import importlib.util
 
-    import careertrace.cli  # noqa: F401 - loads every module the commands use
+    # the modules the benchmark process holds when it installs the tracer,
+    # whichever test modules were collected first
+    import careertrace.cli  # noqa: F401
+    import careertrace.config  # noqa: F401
     import careertrace.indicators  # noqa: F401 - loaded by the indicators command only
+    import careertrace.pipeline  # noqa: F401 - loaded by the commands that run stages
+    import careertrace.report  # noqa: F401
+    import careertrace.tables  # noqa: F401
 
     path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

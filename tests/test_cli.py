@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from careertrace import cli, pipeline
 from careertrace.cli import run
+from careertrace.config import ALL_METRICS
 from careertrace.corpus import RegionScheme, default_scheme, default_scheme_path
 from careertrace.indicators import IndicatorEngine
 from careertrace.mobility import HOST_ATTRIBUTIONS
-from careertrace.pipeline import ALL_METRICS, Cache, read_table
+from careertrace.pipeline import Cache
 from careertrace.stocks import build_statuses
+from careertrace.tables import read_table
 from careertrace.timeline import TIE_RULES
 
 from conftest import lines, random_records, rec, run_fresh
@@ -151,10 +153,12 @@ def test_module_entry_point_reports_bad_lines(tmp_path):
 
 
 def test_cli_import_leaves_synth_unloaded():
-    """Only the synth command imports the generator and only the indicators
-    command the indicator engine, so no other command pays for them."""
+    """Only the synth command imports the generator, only the indicators
+    command the indicator engine and only the commands that run stages the
+    pipeline, so no other command pays for them."""
     proc = run_fresh("import sys, careertrace.cli; "
-                     "print(sorted(m for m in sys.modules if 'synth' in m or 'indicators' in m))")
+                     "print(sorted(m for m in sys.modules if 'synth' in m or 'indicators' in m "
+                     "or 'pipeline' in m))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

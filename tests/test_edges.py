@@ -11,7 +11,7 @@ from careertrace.cli import run
 from careertrace.corpus import load_corpus, parse_corpus
 from careertrace.errors import MalformedLine
 from careertrace.indicators import nearest_rank_90th
-from careertrace.pipeline import write_table
+from careertrace.tables import write_table
 
 from conftest import lines, rec
 

@@ -15,23 +15,22 @@ from hypothesis import strategies as st
 
 from careertrace import cli, pipeline
 from careertrace.cli import run
+from careertrace.config import RunConfig
 from careertrace.corpus import default_scheme, default_scheme_path, parse_corpus
 from careertrace.indicators import IndicatorEngine
 from careertrace.mobility import HOST_ATTRIBUTIONS, MobilityState, classify, detect_moves
 from careertrace.pipeline import (
-    STATE_HEADER,
     Cache,
     Pipeline,
-    RunConfig,
     moves_to_rows,
     rows_to_moves,
     rows_to_states,
     rows_to_timelines,
     states_to_rows,
     timelines_to_rows,
-    write_table,
 )
 from careertrace.stocks import stock_table
+from careertrace.tables import STATE_HEADER, TIMELINE_HEADER, write_table
 from careertrace.timeline import TIE_RULES, build_timelines
 
 from conftest import lines, random_records
@@ -190,7 +189,7 @@ def test_indicators_rebuild_a_lost_timelines_entry_after_the_release(tmp_path, c
     run's."""
     corpus, cache = _corpus_file(tmp_path), tmp_path / "cache"
     assert run(["moves", str(corpus), "-o", str(tmp_path / "moves"), "--cache-dir", str(cache)]) == 0
-    header = ",".join(pipeline.TIMELINE_HEADER).encode()
+    header = ",".join(TIMELINE_HEADER).encode()
     (entry,) = [p for p in cache.glob("*.csv") if p.read_bytes().startswith(header)]
     entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
     warm, cold = tmp_path / "warm", tmp_path / "cold"

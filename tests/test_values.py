@@ -1,16 +1,17 @@
 """The value classes every command builds behave as ``@dataclass`` made them:
 keyword and positional construction under the same names, field-wise and
 type-strict ``==``, no hash, the same ``repr`` text, no ``__dict__`` on the
-slotted ones, and a corpus that can be held by weak reference."""
+slotted ones, and a corpus that can be held by weak reference; and the run
+configuration's grace default is the stock rules' default."""
 
 import weakref
 
 import pytest
 
+from careertrace.config import RunConfig
 from careertrace.corpus import Authorship, Corpus, PublicationRecord
 from careertrace.mobility import MobilityState, MoveEvent
-from careertrace.pipeline import RunConfig
-from careertrace.stocks import StockCell
+from careertrace.stocks import DEFAULT_GRACE_YEARS, StockCell
 from careertrace.timeline import CareerTimeline, YearPosition
 
 AUTHORSHIP = Authorship("a1", ("CHN", "USA"))
@@ -123,3 +124,9 @@ def test_run_config_is_mutable_and_defaults_apply():
         "metrics": ["pp10", "shares", "intl", "class_intl", "direction", "stocks", "ratio"],
         "year_min": None, "year_max": None,
     }
+
+
+def test_run_config_grace_default_is_the_stock_rules_default():
+    """``config`` writes the default out rather than import ``stocks``; the
+    two must agree."""
+    assert RunConfig().grace_years == DEFAULT_GRACE_YEARS
