@@ -2,12 +2,12 @@
 synth and report subcommands.
 
 Data outputs are deterministic: fixed inputs and configuration produce
-byte-identical files regardless of input line order. Every output
-directory carries exactly one ``manifest.json`` (file outputs get a
-``<name>.manifest.json`` sidecar) echoing the effective configuration,
-input hashes and per-stage cache usage. A command that ends on a data,
-table or configuration error writes no output file: every stage runs,
-and every input table is checked, before the first one is written.
+byte-identical files regardless of input line order. Every output gets
+one manifest (``tables.write_manifest`` says where) echoing the effective
+configuration, input hashes and per-stage cache usage. A command that
+ends on a data, table or configuration error writes no output file: every
+stage runs, and every input table is checked, before the first one is
+written.
 
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
 """
@@ -18,6 +18,7 @@ import argparse
 import gc
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -33,6 +34,7 @@ from .tables import (
     STATE_HEADER,
     STOCK_HEADER,
     TIMELINE_HEADER,
+    sha256_file,
     write_manifest,
     write_table,
 )
@@ -69,7 +71,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _add_common(parser: argparse.ArgumentParser, output: str | None = None) -> None:
+def _add_common(parser: argparse.ArgumentParser, output: str | None = None,
+                home: bool = False, metrics: bool = False) -> None:
     parser.add_argument("corpus", help="line-delimited corpus file")
     parser.add_argument("--scheme", default=None, help="region scheme JSON file")
     parser.add_argument("--config", default=None, help="run configuration file (key = value)")
@@ -81,39 +84,19 @@ def _add_common(parser: argparse.ArgumentParser, output: str | None = None) -> N
         parser.add_argument("--cache-dir", default=None, help="cache directory")
         parser.add_argument("--tie-rule", choices=TIE_RULES, default=None,
                             dest="tie_rule", help="dominant-region tie handling")
-
-
-def _add_home_opts(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--home", default=None, help="home region label (default CHN)")
-    parser.add_argument("--end-year", type=int, default=None, dest="end_year",
-                        help="observation horizon for the trailing grace rule")
-    parser.add_argument("--grace", type=int, default=None, dest="grace_years",
-                        help="trailing grace years before retirement")
-    parser.add_argument("--host-attribution", choices=HOST_ATTRIBUTIONS, default=None,
-                        dest="host_attribution")
-    parser.add_argument("--intl-requires-distinct-authors", action="store_true", default=None,
-                        dest="intl_requires_distinct_authors")
-
-
-def _add_timelines(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser, output="output CSV file")
-
-
-def _add_moves(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser, output="output directory")
-    _add_home_opts(parser)
-
-
-def _add_stocks(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser, output="output CSV file")
-    _add_home_opts(parser)
-
-
-def _add_indicators(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser, output="output directory")
-    _add_home_opts(parser)
-    parser.add_argument("--metrics", type=parse_metrics, default=None,
-                        help=f"comma list from: {', '.join(ALL_METRICS)}")
+    if home:  # the commands that build mobility states
+        parser.add_argument("--home", default=None, help="home region label (default CHN)")
+        parser.add_argument("--end-year", type=int, default=None, dest="end_year",
+                            help="observation horizon for the trailing grace rule")
+        parser.add_argument("--grace", type=int, default=None, dest="grace_years",
+                            help="trailing grace years before retirement")
+        parser.add_argument("--host-attribution", choices=HOST_ATTRIBUTIONS, default=None,
+                            dest="host_attribution")
+        parser.add_argument("--intl-requires-distinct-authors", action="store_true", default=None,
+                            dest="intl_requires_distinct_authors")
+    if metrics:
+        parser.add_argument("--metrics", type=parse_metrics, default=None,
+                            help=f"comma list from: {', '.join(ALL_METRICS)}")
 
 
 def _add_synth(parser: argparse.ArgumentParser) -> None:
@@ -133,18 +116,6 @@ def _add_report(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", default=None, help="report directory (default <dir>/report)")
 
 
-# subcommand -> (help, its arguments), in the order -h lists them
-_SUBPARSERS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
-    "validate": ("validate a corpus file", _add_common),
-    "timelines": ("write the author-year position table", _add_timelines),
-    "moves": ("write move and mobility-state tables", _add_moves),
-    "stocks": ("write the stock table (class, year, preceding, new)", _add_stocks),
-    "indicators": ("write indicator tables", _add_indicators),
-    "synth": ("generate a synthetic corpus with ground truth", _add_synth),
-    "report": ("render tables and SVG charts from an indicators directory", _add_report),
-}
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser. When ``command`` names a subcommand, only its
     subparser is built, which is all that parsing that command's arguments
@@ -154,12 +125,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="career timelines, mobility, stocks and indicators from publication metadata",
     )
     parser.add_argument("--version", action="version", version=f"careertrace {__version__}")
-    names = [command] if command in _SUBPARSERS else list(_SUBPARSERS)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
     # with one subparser built, the usage line a later error prints still names every command
-    metavar = None if len(names) > 1 else "{" + ",".join(_SUBPARSERS) + "}"
+    metavar = None if len(names) > 1 else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, add_arguments = _SUBPARSERS[name]
+        help_text, add_arguments, _run = _COMMANDS[name]
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -197,10 +168,8 @@ def cmd_timelines(args: argparse.Namespace) -> int:
     pipe = _make_pipeline(args)
     timelines = pipe.timelines()
     out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_table(out, TIMELINE_HEADER, timelines_to_rows(timelines, pipe.scheme))
-    write_manifest(out.with_name(out.name + ".manifest.json"), "timelines",
-                   pipe.cfg.as_dict(), pipe.inputs(), pipe.stages)
+    pipe.write_manifest(out, "timelines")
     return 0
 
 
@@ -210,7 +179,6 @@ def cmd_moves(args: argparse.Namespace) -> int:
     pipe = _make_pipeline(args)
     moves, states, timelines = pipe.moves(), pipe.states(), pipe.timelines()
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_table(out_dir / "moves.csv", MOVE_HEADER, moves_to_rows(moves))
     write_table(out_dir / "states.csv", STATE_HEADER, states_to_rows(states))
     # classes follow move patterns only; the origin table lets consumers
@@ -220,8 +188,7 @@ def cmd_moves(args: argparse.Namespace) -> int:
         for a in sorted(timelines)
     )
     write_table(out_dir / "origins.csv", ["author_id", "origin", "origin_ambiguous"], origin_rows)
-    write_manifest(out_dir / "manifest.json", "moves",
-                   pipe.cfg.as_dict(), pipe.inputs(), pipe.stages)
+    pipe.write_manifest(out_dir, "moves")
     return 0
 
 
@@ -231,10 +198,8 @@ def cmd_stocks(args: argparse.Namespace) -> int:
     pipe = _make_pipeline(args)
     cells = pipe.stock_cells()
     out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_table(out, STOCK_HEADER, stocks_to_rows(cells))
-    write_manifest(out.with_name(out.name + ".manifest.json"), "stocks",
-                   pipe.cfg.as_dict(), pipe.inputs(), pipe.stages)
+    pipe.write_manifest(out, "stocks")
     return 0
 
 
@@ -260,12 +225,11 @@ def cmd_indicators(args: argparse.Namespace) -> int:
         build.update(stocks=lambda: stocks_to_rows(cells),
                      ratio=lambda: ratio_rows(cells, cfg.home, hosts))
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for metric, rows in build.items():
         if metric in want:
             header = STOCK_HEADER if metric == "stocks" else INDICATOR_HEADER
             write_table(out_dir / f"{metric}.csv", header, rows())
-    write_manifest(out_dir / "manifest.json", "indicators", cfg.as_dict(), pipe.inputs(), pipe.stages)
+    pipe.write_manifest(out_dir, "indicators")
     return 0
 
 
@@ -277,7 +241,6 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    from .pipeline import sha256_file
     from .synth import ScenarioConfig, degrade, generate  # only this command needs it
 
     if args.config:
@@ -309,13 +272,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     manifest_config = json.loads(config.to_json())
     manifest_config["gap_probability"] = args.gap_probability
     manifest_config["dual_affiliation_probability"] = args.dual_affiliation_probability
-    write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        "synth",
-        manifest_config,
-        {"scheme": str(scheme_path), "scheme_sha256": sha256_file(scheme_path)},
-        [{"stage": "generate", "cache": "off"}],
-    )
+    write_manifest(out, "synth", manifest_config,
+                   {"scheme": str(scheme_path), "scheme_sha256": sha256_file(scheme_path)},
+                   [{"stage": "generate", "cache": "off"}])
     return 0
 
 
@@ -325,14 +284,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "timelines": cmd_timelines,
-    "moves": cmd_moves,
-    "stocks": cmd_stocks,
-    "indicators": cmd_indicators,
-    "synth": cmd_synth,
-    "report": cmd_report,
+# command -> (help, its arguments, its function), in the order -h lists them
+_COMMANDS: dict[str, tuple[str, Callable, Callable[[argparse.Namespace], int]]] = {
+    "validate": ("validate a corpus file", _add_common, cmd_validate),
+    "timelines": ("write the author-year position table",
+                  partial(_add_common, output="output CSV file"), cmd_timelines),
+    "moves": ("write move and mobility-state tables",
+              partial(_add_common, output="output directory", home=True), cmd_moves),
+    "stocks": ("write the stock table (class, year, preceding, new)",
+               partial(_add_common, output="output CSV file", home=True), cmd_stocks),
+    "indicators": ("write indicator tables",
+                   partial(_add_common, output="output directory", home=True, metrics=True),
+                   cmd_indicators),
+    "synth": ("generate a synthetic corpus with ground truth", _add_synth, cmd_synth),
+    "report": ("render tables and SVG charts from an indicators directory", _add_report,
+               cmd_report),
 }
 
 
@@ -351,7 +317,7 @@ def run(argv: list[str]) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         try:
-            return _COMMANDS[args.command](args)
+            return _COMMANDS[args.command][2](args)
         except (CareerTraceError, OSError) as exc:
             print(f"careertrace: error: {exc}", file=sys.stderr)
             return 1

@@ -21,16 +21,9 @@ from .corpus import Corpus, RegionScheme, load_corpus, load_scheme
 from .errors import HomeMismatch
 from .mobility import MobilityState, MoveEvent, classify, detect_moves
 from .stocks import StockCell, stock_table
-from .tables import MOVE_HEADER, STATE_HEADER, STOCK_HEADER, TIMELINE_HEADER, write_table
+from .tables import (MOVE_HEADER, STATE_HEADER, STOCK_HEADER, TIMELINE_HEADER, sha256_file,
+                     write_manifest, write_table)
 from .timeline import CareerTimeline, YearPosition, build_timelines
-
-
-def sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
 
 
 class Cache:
@@ -80,7 +73,6 @@ class Cache:
                 pass
 
     def store(self, key: str, header: list[str], rows: Iterable[list[object]]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
         data_path, digest_path = self._paths(key)
         write_table(data_path, header, rows)
         digest_path.write_text(hashlib.sha256(data_path.read_bytes()).hexdigest() + "\n",
@@ -304,10 +296,8 @@ class Pipeline:
             lambda rows: [StockCell(k, int(y), int(p), int(n)) for k, y, p, n in rows],
         )
 
-    def inputs(self) -> dict[str, str]:
-        return {
-            "corpus": str(self.corpus_path),
-            "corpus_sha256": self.corpus_hash,
-            "scheme": str(self.scheme_path),
-            "scheme_sha256": self.scheme_hash,
-        }
+    def write_manifest(self, output: Path, subcommand: str) -> None:
+        """``output``'s manifest: the configuration, the input digests and the stages run."""
+        inputs = {"corpus": str(self.corpus_path), "corpus_sha256": self.corpus_hash,
+                  "scheme": str(self.scheme_path), "scheme_sha256": self.scheme_hash}
+        write_manifest(output, subcommand, self.cfg.as_dict(), inputs, self.stages)

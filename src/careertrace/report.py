@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .errors import MalformedTable
+from .errors import InvalidConfig, MalformedTable
 from .tables import INDICATOR_HEADER, STOCK_HEADER, read_table, write_manifest
 
 PALETTE = [
@@ -34,61 +34,50 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 class _Svg:
     W, H = 880, 460
-    LEFT, RIGHT, TOP, BOTTOM = 70, 230, 40, 50
+    X0, Y0, X1, Y1 = 70, 40, W - 230, H - 50  # the plot area's edges; the legend is right of it
 
     def __init__(self, title: str):
         self.parts: list[str] = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.W}" height="{self.H}" '
             f'viewBox="0 0 {self.W} {self.H}" font-family="sans-serif" font-size="12">',
             f'<rect width="{self.W}" height="{self.H}" fill="white"/>',
-            f'<text x="{self.LEFT}" y="24" font-size="15" font-weight="bold">{_esc(title)}</text>',
+            f'<text x="{self.X0}" y="24" font-size="15" font-weight="bold">{_esc(title)}</text>',
         ]
 
-    def plot_area(self) -> tuple[float, float, float, float]:
-        return (
-            self.LEFT,
-            self.TOP,
-            self.W - self.RIGHT,
-            self.H - self.BOTTOM,
-        )
-
     def axes(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float, x_ticks: bool = True):
-        x0, y0, x1, y1 = self.plot_area()
         self.parts.append(
-            f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="black"/>'
-            f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>'
+            f'<line x1="{self.X0}" y1="{self.Y1}" x2="{self.X1}" y2="{self.Y1}" stroke="black"/>'
+            f'<line x1="{self.X0}" y1="{self.Y0}" x2="{self.X0}" y2="{self.Y1}" stroke="black"/>'
         )
         for t in _ticks(y_lo, y_hi):
             py = self._py(t, y_lo, y_hi)
             self.parts.append(
-                f'<line x1="{x0 - 4}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="black"/>'
-                f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end">{_fmt(t)}</text>'
+                f'<line x1="{self.X0 - 4}" y1="{py:.1f}" x2="{self.X0}" y2="{py:.1f}" stroke="black"/>'
+                f'<text x="{self.X0 - 8}" y="{py + 4:.1f}" text-anchor="end">{_fmt(t)}</text>'
             )
         if not x_ticks:
             return
         for t in sorted({round(t) for t in _ticks(x_lo, x_hi)}):
             px = self._px(t, x_lo, x_hi)
             self.parts.append(
-                f'<line x1="{px:.1f}" y1="{y1}" x2="{px:.1f}" y2="{y1 + 4}" stroke="black"/>'
-                f'<text x="{px:.1f}" y="{y1 + 18}" text-anchor="middle">{int(t)}</text>'
+                f'<line x1="{px:.1f}" y1="{self.Y1}" x2="{px:.1f}" y2="{self.Y1 + 4}" stroke="black"/>'
+                f'<text x="{px:.1f}" y="{self.Y1 + 18}" text-anchor="middle">{int(t)}</text>'
             )
 
     def _px(self, x: float, lo: float, hi: float) -> float:
-        x0, _, x1, _ = self.plot_area()
         if hi == lo:
-            return (x0 + x1) / 2
-        return x0 + (x - lo) / (hi - lo) * (x1 - x0)
+            return (self.X0 + self.X1) / 2
+        return self.X0 + (x - lo) / (hi - lo) * (self.X1 - self.X0)
 
     def _py(self, y: float, lo: float, hi: float) -> float:
-        _, y0, _, y1 = self.plot_area()
         if hi == lo:
-            return y1
-        return y1 - (y - lo) / (hi - lo) * (y1 - y0)
+            return self.Y1
+        return self.Y1 - (y - lo) / (hi - lo) * (self.Y1 - self.Y0)
 
     def legend(self, labels: list[str]) -> None:
-        x = self.W - self.RIGHT + 16
+        x = self.X1 + 16
         for i, label in enumerate(labels):
-            y = self.TOP + 14 + i * 18
+            y = self.Y0 + 14 + i * 18
             color = PALETTE[i % len(PALETTE)]
             self.parts.append(
                 f'<rect x="{x}" y="{y - 9}" width="12" height="12" fill="{color}"/>'
@@ -150,12 +139,11 @@ def stacked_bar_chart(
     totals = [sum(vals[i] for vals in stacks.values()) for i in range(len(categories))]
     y_hi = (max(totals) or 1.0) * 1.05
     svg.axes(0, len(categories), 0.0, y_hi, x_ticks=False)
-    x0, _, x1, y_base = svg.plot_area()
-    width = (x1 - x0) / max(len(categories), 1)
+    width = (svg.X1 - svg.X0) / max(len(categories), 1)
     bar_w = width * 0.6
     labels = list(stacks)
     for ci, cat in enumerate(categories):
-        x = x0 + ci * width + (width - bar_w) / 2
+        x = svg.X0 + ci * width + (width - bar_w) / 2
         y_cursor = 0.0
         for si, label in enumerate(labels):
             v = stacks[label][ci]
@@ -169,7 +157,7 @@ def stacked_bar_chart(
             )
             y_cursor += v
         svg.parts.append(
-            f'<text x="{x + bar_w / 2:.1f}" y="{y_base + 32}" text-anchor="middle" '
+            f'<text x="{x + bar_w / 2:.1f}" y="{svg.Y1 + 32}" text-anchor="middle" '
             f'font-size="10">{_esc(cat)}</text>'
         )
     svg.legend(labels)
@@ -247,6 +235,9 @@ def write_report(src: Path, out_dir: Path) -> None:
     tables found in the indicators directory ``src``."""
     if not src.is_dir():
         raise NotADirectoryError(f"{src} is not a directory")
+    if out_dir.resolve() == src.resolve():
+        raise InvalidConfig(f"report directory {out_dir} is the indicators directory {src}, "
+                            "whose manifest it would replace")
     # every table is read and checked before the first file is written
     tables = [
         (name, _read_report_table(src / f"{name}.csv", INDICATOR_HEADER, _INDICATOR_TYPES,
@@ -285,5 +276,5 @@ def write_report(src: Path, out_dir: Path) -> None:
             )
             charts.append(name)
     (out_dir / "summary.txt").write_text("\n".join(summary_parts), encoding="utf-8")
-    write_manifest(out_dir / "manifest.json", "report", {"source": str(src)}, {},
+    write_manifest(out_dir, "report", {"source": str(src)}, {},
                    [{"stage": "report", "cache": "off", "charts": len(charts)}])

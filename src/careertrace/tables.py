@@ -1,5 +1,6 @@
 """The CSV table format every command reads and writes, each table's header,
-and the manifest every command writes beside its outputs.
+the manifest every command writes beside its outputs, and the file digest
+that manifests and cache keys record.
 
 The indicator engine's own module is not imported here, so that ``report``
 reads indicator tables without loading it; a test ties ``INDICATOR_HEADER``
@@ -28,7 +29,8 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
     order. The csv module writes floats as their shortest round-trip ``repr``
     (so infinities as ``inf``/``-inf``) and other values with ``str``.
     Rows are written as they are made; if making one raises, the table is
-    removed rather than left cut short."""
+    removed rather than left cut short. Missing parent directories are made."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         try:
             writer = csv.writer(fh, lineterminator="\n")
@@ -46,9 +48,22 @@ def read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return (rows[0], rows[1:]) if rows else ([], [])
 
 
+def sha256_file(path: str | Path) -> str:
+    import hashlib  # here, so that the commands that hash nothing do not load OpenSSL
+
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
 def write_manifest(
-    path: Path, subcommand: str, config: dict, inputs: dict[str, str], stages: list[dict]
+    output: Path, subcommand: str, config: dict, inputs: dict[str, str], stages: list[dict]
 ) -> None:
+    """The manifest of a command's output: ``manifest.json`` inside a directory
+    output, a ``<name>.manifest.json`` sidecar beside a file output."""
+    path = output / "manifest.json" if output.is_dir() else output.with_name(output.name + ".manifest.json")
     obj = {
         "tool": "careertrace",
         "version": __version__,

@@ -182,8 +182,14 @@ def test_commands_leave_dataclasses_inspect_and_datetime_unloaded(command, small
                      "*sorted({'dataclasses', 'inspect', 'datetime'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+    # one manifest rule: a sidecar beside a file output, manifest.json inside a directory output
     manifests = list(out.parent.rglob("*manifest.json"))
-    assert len(manifests) == (command != "validate")
+    if command == "validate":
+        assert manifests == []
+    elif command in ("timelines", "stocks"):
+        assert manifests == [out.with_name("out.manifest.json")]
+    else:
+        assert manifests == [out / "manifest.json"]
     for path in manifests:
         timestamp = json.loads(path.read_text(encoding="utf-8"))["timestamp"]
         assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", timestamp)
@@ -365,6 +371,21 @@ def test_indicators_and_report(small_corpus, tmp_path):
     report = out / "report"
     assert (report / "summary.txt").exists()
     assert list(report.glob("*.svg"))
+
+
+def test_report_into_its_source_directory_is_refused(small_corpus, tmp_path, capsys):
+    """A report written into the indicators directory would replace the
+    manifest of the indicators run, so it is one error line and no file."""
+    ind = tmp_path / "ind"
+    assert run(["indicators", str(small_corpus), "-o", str(ind), "--no-cache"]) == 0
+    before = {p: p.read_bytes() for p in ind.rglob("*")}
+    capsys.readouterr()
+    for output in (ind, ind / ".." / "ind"):
+        assert run(["report", str(ind), "-o", str(output)]) == 1
+        assert capsys.readouterr().err == (
+            f"careertrace: error: report directory {output} is the indicators directory {ind}, "
+            "whose manifest it would replace\n")
+    assert {p: p.read_bytes() for p in ind.rglob("*")} == before
 
 
 PP10_HEADER = b"population,year,metric,counting,value\n"
@@ -587,6 +608,8 @@ def test_synth_roundtrip_and_determinism(tmp_path):
                     "-o", str(target), "--truth", str(target.with_suffix(".truth"))]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.with_suffix(".truth").read_bytes() == b.with_suffix(".truth").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.jsonl", "a.jsonl.manifest.json", "a.truth", "b.jsonl", "b.jsonl.manifest.json", "b.truth"]
     assert run(["validate", str(a)]) == 0
 
 
@@ -1031,7 +1054,7 @@ def test_run_restores_the_callers_collector_state(small_corpus, tmp_path, monkey
         raise RuntimeError("escaped")
 
     if code is RuntimeError:
-        monkeypatch.setitem(cli._COMMANDS, "validate", command)
+        monkeypatch.setitem(cli._COMMANDS, "validate", (*cli._COMMANDS["validate"][:2], command))
     argv = [a.format(corpus=small_corpus, out=tmp_path / "out") for a in argv]
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()

@@ -50,13 +50,14 @@ def _loaded(argv: list[str]) -> tuple[set[str], bool]:
     ("moves", STAGES, True),
     ("stocks", STAGES, True),
     ("indicators", STAGES | {"careertrace.indicators"}, True),
-    ("synth", STAGES | {"careertrace.synth"}, True),
+    ("synth", BASE | {"careertrace.synth"}, True),
 ])
 def test_each_command_loads_only_the_modules_it_runs(command, expected, hashed, corpus, tmp_path):
     """``validate`` runs no stage and hashes nothing; ``report`` reads tables
     without the pipeline or the indicator engine. Neither loads the stock rules. The data commands load the
     pipeline (and ``hashlib`` for the input digests), and only ``indicators``
-    and ``synth`` load their own engines."""
+    and ``synth`` load their own engines; ``synth`` hashes its scheme file
+    without the pipeline."""
     out = str(tmp_path / "out")
     if command == "validate":
         argv = ["validate", str(corpus)]
