@@ -8,7 +8,7 @@ fields:
     seq       int within-year ordering key (optional, default 0)
     fields    non-empty array of subject-field identifiers
     doc_type  document-type label
-    cites     non-negative citation count
+    cites     non-negative citation count, at most 2**53 (MAX_CITES)
     authors   non-empty array of {"id": string, "countries": [codes]}
 
 Country codes are 3-letter uppercase identifiers. A region scheme maps
@@ -28,6 +28,9 @@ from .errors import MalformedLine, SchemeError
 
 _REQUIRED_KEYS = ("pub_id", "year", "fields", "doc_type", "cites", "authors")
 _RECORD_KEYS = frozenset({*_REQUIRED_KEYS, "seq"})
+# Every integer up to 2**53 is exact as a float, so each citation mean, FWCI
+# and threshold divides without overflow or rounding of the count itself.
+MAX_CITES = 2**53
 # Region labels are written into series names (``WLD``, ``DOM``, ``home->F``,
 # ``ALL->home``), pair labels, class keys and the cached weights text.
 _LABEL = re.compile(r"[A-Za-z0-9_]+")
@@ -228,7 +231,7 @@ class _Pools:
     codes and authorships share one object each; a value enters its pool only
     once it has passed validation, so a pool hit needs no further check."""
 
-    __slots__ = ("strings", "ints", "fields", "codes", "authorships")
+    __slots__ = ("strings", "ints", "fields", "codes", "authorships", "field_texts", "author_texts")
 
     def __init__(self) -> None:
         self.strings: dict[str, str] = {}
@@ -238,6 +241,10 @@ class _Pools:
         self.fields: dict[tuple[str, ...], tuple[str, ...]] = {}
         self.codes: dict[str, str] = {}
         self.authorships: dict[tuple[str, ...], Authorship] = {}
+        # the canonical reader's pools, keyed by the exact JSON text of a
+        # field list or of one author object
+        self.field_texts: dict[str, tuple[str, ...]] = {}
+        self.author_texts: dict[str, tuple[Authorship]] = {}
 
 
 # Every value checked below comes from the JSON decoder, so exact type tests
@@ -274,6 +281,8 @@ def _parse_record(obj: object, line_no: int, pools: _Pools) -> PublicationRecord
         raise MalformedLine(line_no, "doc_type must be a string")
     if type(cites) is not int or cites < 0:
         raise MalformedLine(line_no, "cites must be a non-negative integer")
+    if cites > MAX_CITES:
+        raise MalformedLine(line_no, "cites must be at most 2**53")
     if type(authors) is not list:
         raise MalformedLine(line_no, "authors must be an array")
     if not authors:
@@ -355,26 +364,102 @@ def _load_line(line: str, line_no: int, pools: _Pools) -> PublicationRecord:
             obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedLine(line_no, f"invalid JSON ({exc.msg})") from None
+    except ValueError:  # int() refuses a literal past sys.get_int_max_str_digits()
+        raise MalformedLine(line_no, "integer literal too long") from None
     except RecursionError:
         # both decoders recurse once per nesting level
         raise MalformedLine(line_no, "invalid JSON (nesting too deep)") from None
     return _parse_record(obj, line_no, pools)
 
 
+# The layout dump_record writes: no whitespace, the seven keys in its order,
+# strings without quotes, escapes or control characters, and integers of at
+# most 15 digits, so cites stays below MAX_CITES. Such a line can have only
+# one reading, and that reading is valid: the reader needs no JSON decoder.
+# The line must also be ASCII, as a byte that is not UTF-8 arrives as a lone
+# surrogate, which only _load_line reports.
+_TEXT = r'[^"\\\x00-\x1f]'
+_INT = r"(-?(?:0|[1-9][0-9]{0,14}))"
+_CANONICAL_HEAD = re.compile(
+    rf'\{{"pub_id":"({_TEXT}+)","year":{_INT},"seq":{_INT},'
+    rf'"fields":\[("{_TEXT}+"(?:,"{_TEXT}+")*)\],"doc_type":"({_TEXT}*)",'
+    r'"cites":(0|[1-9][0-9]{0,14}),"authors":\[\{'
+)
+_CANONICAL_AUTHOR = re.compile(rf'"id":"({_TEXT}+)","countries":\[("[A-Z]{{3}}"(?:,"[A-Z]{{3}}")*)\]')
+
+
+def _canonical_author(text: str, pools: _Pools) -> tuple[Authorship] | None:
+    """The authorship of one author object's text between its braces, as a
+    1-tuple that every single-author record of it shares; None if the text is
+    not in the canonical layout."""
+    m = _CANONICAL_AUTHOR.fullmatch(text)
+    if m is None:
+        return None
+    aid, codes = m.groups()
+    intern = pools.codes.setdefault  # the pattern admits only valid codes
+    countries = tuple([intern(c, c) for c in codes[1:-1].split('","')])
+    one = pools.author_texts[text] = (Authorship(pools.strings.setdefault(aid, aid), countries),)
+    return one
+
+
+def _canonical_record(line: str, m: re.Match, pools: _Pools) -> PublicationRecord | None:
+    """The record of an ASCII line whose head matched ``_CANONICAL_HEAD`` as
+    ``m``, if the rest is canonical too; else None, and ``_load_line`` reads
+    the line. Authors are looked up by their text, so a known author costs no
+    decoding at all."""
+    if line.endswith("}]}\n"):
+        body = line[m.end():-4]
+    elif line.endswith("}]}"):
+        body = line[m.end():-3]
+    else:
+        return None
+    # an id holds no '"', so a "},{" inside one leaves a piece that fails its pattern
+    texts = pools.author_texts
+    found = [texts.get(text) or _canonical_author(text, pools) for text in body.split("},{")]
+    if len(found) == 1:
+        authorships = found[0]
+        if authorships is None:
+            return None
+    else:
+        if None in found:
+            return None
+        authorships = tuple([one[0] for one in found])
+        if len({a.author_id for a in authorships}) != len(authorships):
+            return None  # a repeated author, which _load_line reports
+    pub_id, year, seq, fields, doc_type, cites = m.groups()
+    field_codes = pools.field_texts.get(fields)
+    if field_codes is None:  # the pattern admits only non-empty strings, so no check fails
+        field_codes = pools.field_texts[fields] = _field_codes(fields[1:-1].split('","'), 0, pools)
+    ints = pools.ints
+    year, seq = int(year), int(seq)
+    return PublicationRecord(pub_id, ints.setdefault(year, year), ints.setdefault(seq, seq),
+                             field_codes, pools.strings.setdefault(doc_type, doc_type), int(cites),
+                             authorships)
+
+
 def _read(
     lines: Iterable[str], window: tuple[int, int] | None
 ) -> Iterator[PublicationRecord | MalformedLine]:
-    """The corpus reader: per non-blank line, its record or its first problem."""
+    """The corpus reader: per non-blank line, its record or its first problem.
+    Lines in ``dump_record``'s layout take the canonical path; every other line,
+    and so every problem, goes through ``_load_line``. A stream whose first 16
+    lines hold no canonical author stops trying the canonical path, so that
+    another layout pays nothing for it."""
     pools = _Pools()
     seen: set[str] = set()
+    canonical_head = _CANONICAL_HEAD.match
     for line_no, line in enumerate(lines, start=1):
-        if not line or line.isspace():
-            continue
-        try:
-            rec = _load_line(line, line_no, pools)
-        except MalformedLine as exc:
-            yield exc
-            continue
+        if not (canonical_head and (m := canonical_head(line)) and line.isascii()
+                and (rec := _canonical_record(line, m, pools)) is not None):
+            if not line or line.isspace():
+                continue
+            if canonical_head and line_no > 16 and not pools.author_texts:
+                canonical_head = None
+            try:
+                rec = _load_line(line, line_no, pools)
+            except MalformedLine as exc:
+                yield exc
+                continue
         if rec.pub_id in seen:
             yield MalformedLine(line_no, f"duplicate pub_id {rec.pub_id!r}")
             continue

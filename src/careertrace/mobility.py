@@ -98,6 +98,8 @@ def classify(
     home: str,
     scheme: RegionScheme | None = None,
     host_attribution: str = "latest",
+    *,
+    shared: dict | None = None,
 ) -> list[MobilityState]:
     """Mobility state for each position year of the timeline.
 
@@ -105,6 +107,9 @@ def classify(
     "latest" (default) follows the most recent move into home, "first"
     freezes the host of the first one. The attribution window always starts
     at the first inbound move.
+
+    ``shared``, one dict passed to every call of a batch, makes each equal
+    state one object across the batch's authors. States are never mutated.
     """
     if scheme is not None and home not in scheme.labels:
         raise HomeMismatch(home)
@@ -117,6 +122,8 @@ def classify(
     latest = host_attribution == "latest"
     origin = timeline.origin_region
     at_origin = domestic(origin)
+    if shared is None:
+        shared = {}
     states: list[MobilityState] = []
     returnee_host: str | None = None
     prev_class: str | None = None
@@ -139,5 +146,10 @@ def classify(
         if klass is not prev_class:
             since = year
             prev_class = klass
-        states.append(MobilityState(year, klass, since))
+            # keyed by year, not by year - since: a typo year must not size anything
+            by_year = shared.setdefault((klass, since), {})
+        state = by_year.get(year)
+        if state is None:
+            state = by_year[year] = MobilityState(year, klass, since)
+        states.append(state)
     return states

@@ -266,8 +266,10 @@ class Pipeline:
     def _build_states(self) -> dict[str, list[MobilityState]]:
         timelines = self.timelines()
         moves = self.moves()
+        shared: dict = {}  # one object per equal state, across all authors
         return {
-            a: classify(tl, moves.get(a, []), self.cfg.home, self.scheme, self.cfg.host_attribution)
+            a: classify(tl, moves.get(a, []), self.cfg.home, self.scheme, self.cfg.host_attribution,
+                        shared=shared)
             for a, tl in timelines.items()
         }
 

@@ -117,6 +117,37 @@ def test_moves_deeply_nested_line(tmp_path, capsys):
     assert capsys.readouterr().err == "careertrace: error: line 2: invalid JSON (nesting too deep)\n"
 
 
+ABSURD_NUMBERS = {
+    # past sys.get_int_max_str_digits(), so int() refuses the literal
+    "long cites": ('"cites": 0', '"cites": ' + "9" * 5000, "integer literal too long"),
+    "long year": ('"year": 2006', '"year": ' + "2" * 4400, "integer literal too long"),
+    # under that limit, but no float can hold a mean of it
+    "huge cites": ('"cites": 0', '"cites": 1' + "0" * 400, "cites must be at most 2**53"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ABSURD_NUMBERS))
+def test_absurd_numbers_end_in_one_line_diagnostic(tmp_path, case):
+    """In a fresh process under ``ulimit -v``: ``validate`` reports the line
+    and the count, ``indicators`` one error line; both exit 1, no traceback."""
+    old, new, reason = ABSURD_NUMBERS[case]
+    good, bad = lines(rec("p1", 2005, [("a1", ["CHN"])]), rec("p2", 2006, [("a1", ["USA"])]))
+    assert old in bad
+    path = tmp_path / "c.jsonl"
+    path.write_text(good + "\n" + bad.replace(old, new) + "\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    limited = 'ulimit -v 2000000 && exec "$0" -m careertrace.cli "$@"'
+    for argv, err in [
+        (["validate", str(path)],
+         f"careertrace: {path}: line 2: {reason}\ncareertrace: {path}: 1 problem(s) found\n"),
+        (["indicators", str(path), "-o", str(tmp_path / "out"), "--no-cache"],
+         f"careertrace: error: line 2: {reason}\n"),
+    ]:
+        proc = subprocess.run(["sh", "-c", limited, sys.executable, *argv], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, err), argv
+
+
 def test_moves_duplicate_pub_id_names_the_repeated_line(tmp_path, capsys):
     records = [rec(f"p{i}", 2005, [("a1", ["CHN"])]) for i in range(200)]
     path = tmp_path / "dup.jsonl"

@@ -1,15 +1,23 @@
 import json
 import random
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from careertrace import corpus as corpus_module
+from careertrace.cli import run
 from careertrace.corpus import (
+    Authorship,
+    PublicationRecord,
     RegionScheme,
     _load_line,
     _Pools,
+    _read,
     default_scheme,
+    dump_record,
     is_country_code,
     iter_diagnostics,
     load_corpus,
@@ -433,3 +441,169 @@ def test_country_code_shape():
     assert not is_country_code("CH")
     assert not is_country_code("CHNA")
     assert not is_country_code(123)
+
+
+# -- the canonical path -------------------------------------------------------
+# Lines in dump_record's layout skip the JSON decoder. These tests hold that
+# path to _load_line: the same record or diagnostic for every line, and no
+# silent fall-back on the layout the package itself writes.
+
+def _read_items(lines, window=None):
+    return [dump_record(x) if type(x) is PublicationRecord else str(x) for x in _read(lines, window)]
+
+
+def _read_items_without_canonical_path(lines, window=None):
+    with mock.patch.object(corpus_module, "_CANONICAL_HEAD", re.compile("(?!)")):
+        return _read_items(lines, window)
+
+
+_HUGE = "9" * 5000  # past sys.get_int_max_str_digits()
+
+# pattern -> replacements for one occurrence; a callable gets the matched text
+_TEXT_MUTATIONS = [
+    (r"(?<=[:,\[])-?[0-9]+(?=[,}\]])", [
+        "9" * 16, "1" + "0" * 400, _HUGE, "-1", "-0", "0", "007", "00", "1e3", "true", '"5"',
+        str(2**53), str(2**53 + 1), "9" * 15, "-" + "9" * 15,
+    ]),
+    (r'"[^"]*"', [
+        '""', '"a\\"b"', '"\\u0041"', '"a},{b"', '"},{"', '"\u00e9"', '"chn"', '"CH"',
+        '"CHNA"', '"CHN"', '"USA"', '"a1"', '"a2"', '"x"', '"seq"', '"id"', '"a\tb"',
+        '"\x7f"', '"\\n"', '"\udce9"',  # the last is a byte that is not UTF-8
+    ]),
+    (r'\{"id":"[^"]*","countries":\[[^\]]*\]\}', [
+        lambda a: a + "," + a,  # a repeated author
+        lambda a: a.replace("]", ',"CHN"]'),
+        lambda a: a.replace('"id"', '"ids"'),
+        lambda a: a[:-1] + ',"x":1}',
+        lambda a: "",
+    ]),
+    (r'"seq":-?[0-9]+,', ["", '"seq":1,"seq":2,']),
+    (r'"fields":\[[^\]]*\]', ['"fields":[]', '"fields":[""]', '"fields":["F1","F1"]', '"fields":[1]']),
+    (r"\}\]\}$", ['}],"x":1}', '}],"authors":[]}', '}]} ', "}]}\t", '}],"seq":3}',
+                   "}]]", "]}}"]),
+    (r"^\{", ["{ ", " {", "\ufeff{", "[{"]),
+    (r":", [": "]),
+]
+
+
+@st.composite
+def _records(draw):
+    authors = draw(st.lists(
+        st.tuples(st.sampled_from(["a1", "a2", "a3", "x},{y"]),
+                  st.lists(st.sampled_from(["CHN", "USA", "DEU"]), min_size=1, max_size=2)),
+        min_size=1, max_size=3, unique_by=lambda a: a[0]))
+    return PublicationRecord(
+        draw(st.sampled_from(["p1", "p2", "p3", "p4"])), draw(st.integers(1995, 2010)),
+        draw(st.integers(0, 3)), tuple(draw(st.lists(st.sampled_from(["F1", "F2"]), min_size=1,
+                                                     max_size=2))),
+        draw(st.sampled_from(["ar", ""])), draw(st.integers(0, 60)),
+        tuple(Authorship(aid, tuple(countries)) for aid, countries in authors))
+
+
+_MUTATIONS = [(pattern, new) for pattern, replacements in _TEXT_MUTATIONS for new in replacements]
+
+
+def _mutate(line: str, mutation, spot: int) -> str:
+    """``line`` with its ``spot``-th match (modulo their number) replaced."""
+    pattern, new = mutation
+    spans = [m.span() for m in re.finditer(pattern, line)]
+    if not spans:
+        return line
+    start, end = spans[spot % len(spans)]
+    return line[:start] + (new(line[start:end]) if callable(new) else new) + line[end:]
+
+
+_ENDINGS = ["\n", "", "\r\n", "\n\n"]
+
+
+@st.composite
+def _mutated_line(draw):
+    line = dump_record(draw(_records()))
+    for mutation in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3)):
+        line = _mutate(line, mutation, draw(st.integers(0, 20)))
+    return line + draw(st.sampled_from(_ENDINGS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_mutated_line(), min_size=1, max_size=6),
+       st.sampled_from([None, (2000, 2008)]))
+def test_canonical_path_matches_the_decoder_line_for_line(lines_, window):
+    """Every line, canonical or mutated at the text level, gives the record
+    or the diagnostic that _load_line alone gives, and so do the duplicate
+    pub_id and window checks on records from either path."""
+    assert _read_items(lines_, window) == _read_items_without_canonical_path(lines_, window)
+
+
+def test_canonical_path_matches_the_decoder_on_every_single_mutation():
+    """Each mutation at each place it applies, after a line that fills the pools."""
+    base = PublicationRecord("p1", 2005, 2, ("F1", "F2"), "ar", 3, (
+        Authorship("a1", ("CHN",)), Authorship("a2", ("USA", "DEU")), Authorship("a3", ("CHN",))))
+    warm = dump_record(PublicationRecord("p0", 2004, 0, ("F1", "F2"), "ar", 1, base.authorships))
+    line = dump_record(base)
+    for mutation in _MUTATIONS:
+        for spot in range(len(re.findall(mutation[0], line))):
+            for ending in _ENDINGS:
+                body = [warm + "\n", _mutate(line, mutation, spot) + ending]
+                assert _read_items(body) == _read_items_without_canonical_path(body), body[1]
+
+
+def test_canonical_path_rejects_what_the_decoder_rejects():
+    """Hand-picked lines near the canonical layout, each with its diagnostic."""
+    good = dump_record(PublicationRecord("p1", 2005, 0, ("F1",), "ar", 3,
+                                         (Authorship("a1", ("CHN",)), Authorship("a2", ("USA",)))))
+    cases = {
+        good.replace('"a2"', '"a1"'): "author 'a1' listed twice on 'p1'",
+        good.replace('"cites":3', '"cites":' + _HUGE): "integer literal too long",
+        good.replace('"cites":3', f'"cites":{2**53 + 1}'): "cites must be at most 2**53",
+        good.replace('"cites":3', '"cites":-1'): "cites must be a non-negative integer",
+        good.replace('"year":2005', '"year":02005'): "invalid JSON (Expecting ',' delimiter)",
+        good.replace('"a2"', '""'): "author id must be a non-empty string",
+        good.replace('"USA"', '"usa"'): "invalid country code 'usa'",
+        good.replace('"pub_id":"p1"', '"pub_id":""'): "pub_id must be a non-empty string",
+        good.replace('["F1"]', "[]"): "fields must be a non-empty array of strings",
+        good[:-1] + ',"x":1}': "unknown keys ['x']",
+    }
+    other = good.replace("p1", "p0")  # dump_record gives each canonical line back unchanged
+    for line, reason in cases.items():
+        assert _read_items([other, line]) == [other, f"line 2: {reason}"], line
+    assert _read_items([good, good]) == [good, "line 2: duplicate pub_id 'p1'"]
+
+
+def test_cites_bound_admits_two_to_the_53(scheme):
+    line = json.dumps(rec("p1", 2005, [("a1", ["CHN"])], cites=2**53))
+    assert parse_corpus([line], scheme).records[0].citation_count == 2**53
+
+
+def test_synth_corpus_is_read_without_the_decoder(tmp_path, scheme):
+    """synth writes every line in the canonical layout, so a change to
+    dump_record's layout cannot quietly send every line to the slower path."""
+    path = tmp_path / "c.jsonl"
+    assert run(["synth", "--seed", "5", "--n-authors", "60", "--dual-affiliation-probability",
+                "0.3", "-o", str(path), "--truth", str(tmp_path / "c.truth")]) == 0
+    expected = load_corpus(path, scheme)
+    with mock.patch.object(corpus_module, "_load_line", side_effect=AssertionError("decoded")):
+        corpus = load_corpus(path, scheme)
+    assert corpus == expected and len(corpus.records) > 100
+    assert any(len(r.authorships) > 1 for r in corpus.records)
+    assert any(len(a.countries) > 1 for r in corpus.records for a in r.authorships)
+
+
+def test_a_stream_in_another_layout_stops_trying_the_canonical_path():
+    """After 16 lines without a canonical author the reader decodes every
+    line, canonical or not, to the same records."""
+    body = [dump_record(PublicationRecord(f"p{i}", 2005, i, ("F1",), "ar", 0,
+                                          (Authorship("a1", ("CHN",)),))) + "\n" for i in range(40)]
+    body[:20] = [json.dumps(json.loads(line)) + "\n" for line in body[:20]]  # spaced separators
+    with mock.patch.object(corpus_module, "_canonical_record",
+                           wraps=corpus_module._canonical_record) as canonical:
+        assert len(list(_read(body[20:], None))) == canonical.call_count == 20
+        canonical.reset_mock()
+        assert _read_items(body) == _read_items_without_canonical_path(body)
+        assert canonical.call_count == 0
+
+
+def test_single_author_records_share_one_authorships_tuple(scheme):
+    body = [dump_record(PublicationRecord(f"p{i}", 2005, i, ("F1",), "ar", 0,
+                                          (Authorship("a1", ("CHN",)),))) for i in range(3)]
+    records = parse_corpus(body, scheme).records
+    assert records[0].authorships is records[1].authorships is records[2].authorships

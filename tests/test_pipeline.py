@@ -6,6 +6,7 @@ pipeline releases the parsed corpus after its last reader."""
 import copy
 import json
 import random
+import sys
 import tracemalloc
 import weakref
 
@@ -247,3 +248,24 @@ def test_state_rows_stream_through_the_table_and_the_cache(tmp_path):
     assert pipes[1].stages == [{"stage": "states", "cache": "hit"}]
     assert pipes[1].states() == states
     assert hit_peak < entry.stat().st_size + rows_bytes / 8, (hit_peak, rows_bytes)
+
+
+def test_equal_states_are_one_object(tmp_path):
+    """``classify`` returns one state per position, and the states stage
+    shares each equal (year, class, since year) state across authors: the
+    states held cost less than one state object per position."""
+    path = tmp_path / "c.jsonl"
+    assert run(["synth", "--seed", "11", "--n-authors", "300", "-o", str(path),
+                "--truth", str(tmp_path / "t")]) == 0
+    pipe = Pipeline(path, default_scheme_path(), RunConfig(), None)
+    positions = sum(len(tl.positions) for tl in pipe.timelines().values())
+    pipe.moves()
+    _, held = _traced(pipe.states)
+    states = pipe.states()
+    assert sum(len(sts) for sts in states.values()) == positions
+    objects: dict[tuple, int] = {}
+    for sts in states.values():
+        for s in sts:
+            assert objects.setdefault((s.year, s.klass, s.since_year), id(s)) == id(s)
+    assert len(objects) < positions / 2
+    assert held < positions * sys.getsizeof(states[next(iter(states))][0]), (held, positions)
